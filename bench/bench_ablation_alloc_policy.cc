@@ -1,23 +1,25 @@
 /**
  * @file
- * Ablation A6: allocation policy comparison ("new capping algorithms",
+ * Ablation A6: how the leaf splits a cut ("new capping algorithms",
  * paper conclusion).
  *
- * The same overloaded web row runs under the production
- * high-bucket-first policy and the two alternatives. High-bucket-first
+ * The same overloaded web row runs under every capping brain, plus the
+ * paper's three_band brain at bucket_w = 0, which water-fills each
+ * priority group instead of cutting high-bucket-first. three_band
  * concentrates the cut on the hottest servers (fewest users affected,
- * punishes likely regressions); proportional spreads thin pain over
- * everyone; water-filling levels the top to a common cap. The bench
- * reports how many servers are throttled, the worst per-server
- * slowdown, and total work lost for each.
+ * punishes likely regressions); waterfill and fairshare spread thin
+ * pain over everyone. The bench reports how many servers are
+ * throttled, the worst per-server slowdown, and total work lost for
+ * each, and exits 1 if any row lets the breaker trip.
  */
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
 #include "fleet/fleet.h"
+#include "policy/capping_policy.h"
 
 using namespace dynamo;
 
@@ -32,7 +34,7 @@ struct Outcome
 };
 
 Outcome
-Run(core::AllocationPolicy policy)
+Run(policy::PolicyKind kind, Watts bucket_size)
 {
     fleet::FleetSpec spec;
     spec.scope = fleet::FleetScope::kRpp;
@@ -40,7 +42,9 @@ Run(core::AllocationPolicy policy)
     spec.servers_per_rpp = 560;
     spec.mix = fleet::ServiceMix::Single(workload::ServiceType::kWeb);
     spec.diurnal_amplitude = 0.0;
-    spec.deployment.leaf.allocation_policy = policy;
+    spec.deployment.leaf.capping_policy = kind;
+    spec.deployment.upper.capping_policy = kind;
+    spec.deployment.leaf.bucket_size = bucket_size;
     spec.seed = 73;
     fleet::Fleet fleet(spec);
     fleet.scenario().AddPoint(0, 1.0);
@@ -70,33 +74,54 @@ Run(core::AllocationPolicy policy)
     return out;
 }
 
+struct Row
+{
+    const char* name;
+    policy::PolicyKind kind;
+    Watts bucket_size;
+};
+
 }  // namespace
 
 int
 main()
 {
-    bench::Banner("Ablation A6", "allocation policy comparison");
+    bench::Banner("Ablation A6", "leaf cut split comparison");
 
-    std::printf("%-20s %12s %18s %14s %8s\n", "policy", "max capped",
+    const Watts default_bucket =
+        fleet::FleetSpec{}.deployment.leaf.bucket_size;
+    std::vector<Row> rows;
+    for (policy::PolicyKind kind : policy::AllPolicyKinds()) {
+        rows.push_back({policy::PolicyKindName(kind), kind, default_bucket});
+    }
+    rows.push_back({"three_band bucket_w=0", policy::PolicyKind::kThreeBand,
+                    0.0});
+
+    std::printf("%-22s %12s %18s %14s %8s\n", "brain", "max capped",
                 "worst slowdown(%)", "work loss(%)", "outages");
-    for (core::AllocationPolicy policy :
-         {core::AllocationPolicy::kHighBucketFirst,
-          core::AllocationPolicy::kProportional,
-          core::AllocationPolicy::kWaterFill}) {
-        const Outcome out = Run(policy);
-        std::printf("%-20s %12zu %18.1f %14.2f %8zu\n",
-                    core::AllocationPolicyName(policy), out.max_capped,
-                    out.worst_slowdown_pct, out.work_loss_pct, out.outages);
+    std::size_t outages = 0;
+    for (const Row& row : rows) {
+        const Outcome out = Run(row.kind, row.bucket_size);
+        outages += out.outages;
+        std::printf("%-22s %12zu %18.1f %14.2f %8zu\n", row.name,
+                    out.max_capped, out.worst_slowdown_pct, out.work_loss_pct,
+                    out.outages);
     }
 
     std::printf(
-        "\nAll policies keep the breaker safe; they differ in who pays.\n"
-        "High-bucket-first and water-fill focus the cut on the hottest\n"
-        "servers and leave the rest untouched. Proportional touches the\n"
-        "whole row, and because each cap *update* re-cuts every server\n"
-        "from its already-capped power, shallow cuts compound across\n"
-        "updates into deeper ones — a dynamic-interaction effect that\n"
-        "static, per-decision analyses of allocation policies miss, and\n"
-        "one more argument for the paper's production choice.\n");
+        "\nAll brains keep the breaker safe; they differ in who pays.\n"
+        "three_band and predictive focus the cut on the hottest servers\n"
+        "(at bucket_w = 0 three_band levels them to one cap) and leave\n"
+        "the rest of the row untouched. waterfill and fairshare spread\n"
+        "it over the whole row, and because each cap *update* re-cuts\n"
+        "every server from its already-capped power, shallow cuts\n"
+        "compound across updates into deeper ones — a dynamic-interaction\n"
+        "effect that static, per-decision analyses of cut splits miss,\n"
+        "and one more argument for the paper's production choice.\n");
+    if (outages > 0) {
+        std::printf("\nFAIL: %zu outage(s); the breaker was not kept safe.\n",
+                    outages);
+        return 1;
+    }
     return 0;
 }

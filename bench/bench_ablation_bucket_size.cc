@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 
 using namespace dynamo;
 using core::CappingPlan;

@@ -13,7 +13,7 @@
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "fleet/fleet.h"
 
 using namespace dynamo;

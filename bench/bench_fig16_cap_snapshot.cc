@@ -14,7 +14,7 @@
 
 #include "bench_util.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "common/rng.h"
 #include "workload/service.h"
 

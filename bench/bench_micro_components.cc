@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "power/breaker.h"
 #include "server/sim_server.h"
 #include "sim/simulation.h"

@@ -312,6 +312,7 @@ Deployment::RemoveLeaf(const std::string& endpoint,
         backup->Deactivate();  // covers a post-failover active standby
         for (auto b = leaf_backups_.begin(); b != leaf_backups_.end(); ++b) {
             if (b->get() == backup) {
+                retired_.push_back(std::move(*b));
                 leaf_backups_.erase(b);
                 break;
             }
@@ -320,6 +321,7 @@ Deployment::RemoveLeaf(const std::string& endpoint,
     leaf_by_endpoint_.erase(it);
     for (auto vec_it = leaves_.begin(); vec_it != leaves_.end(); ++vec_it) {
         if (vec_it->get() == leaf) {
+            retired_.push_back(std::move(*vec_it));
             leaves_.erase(vec_it);
             break;
         }

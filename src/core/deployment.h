@@ -184,10 +184,10 @@ class Deployment
                      rpc::Transport& transport);
 
     /**
-     * Decommission a leaf controller: deactivates primary and standby,
-     * destroys their failover manager, drops them from the
-     * early-warning roster, and deregisters the logical endpoint.
-     * Returns false if unknown.
+     * Decommission a leaf controller: deactivates primary and standby
+     * (and retires them, see retired_), destroys their failover
+     * manager, drops them from the early-warning roster, and
+     * deregisters the logical endpoint. Returns false if unknown.
      */
     bool RemoveLeaf(const std::string& endpoint,
                     rpc::Transport& transport);
@@ -223,6 +223,14 @@ class Deployment
     std::vector<std::unique_ptr<LeafController>> leaf_backups_;
     std::vector<std::unique_ptr<UpperController>> upper_backups_;
     std::vector<std::unique_ptr<FailoverManager>> failovers_;
+
+    /**
+     * Decommissioned controllers, deactivated but kept alive: pulls
+     * they issued may still complete, and those callbacks hold `this`.
+     * Not part of the snapshot.
+     */
+    std::vector<std::unique_ptr<Controller>> retired_;
+
     std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<EarlyWarningMonitor> early_warning_;
     std::unordered_map<std::string, DynamoAgent*> agent_by_endpoint_;

@@ -225,7 +225,6 @@ LeafController::Aggregate()
     };
     policy::PolicyContext pctx;
     pctx.bucket_size = leaf_config_.bucket_size;
-    pctx.allocation_policy = leaf_config_.allocation_policy;
     pctx.aggregated = aggregated;
     pctx.limit = limit;
     pctx.now = now;
@@ -290,8 +289,8 @@ LeafController::Aggregate()
                 alloc.floor = a.info.sla_min_cap;
                 alloc.cut = assignment.cut;
                 alloc.limit_sent = assignment.cap;
-                alloc.bucket = static_cast<int>(
-                    powers[assignment.index] / leaf_config_.bucket_size);
+                alloc.bucket = BucketIndex(powers[assignment.index],
+                                           leaf_config_.bucket_size);
                 span.allocs.push_back(std::move(alloc));
             }
             for (const auto& [pg, cut_servers] : by_group) {

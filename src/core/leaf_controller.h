@@ -22,7 +22,7 @@
 
 #include <memory>
 
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "core/controller.h"
 #include "core/load_shed.h"
 #include "policy/capping_policy.h"
@@ -58,11 +58,11 @@ class LeafController : public Controller
                                   /*rpc_timeout=*/900, ThreeBandConfig{},
                                   /*max_failure_fraction=*/0.2};
 
-        /** High-bucket-first width; the paper uses 20 W (10–30 W ok). */
+        /**
+         * High-bucket-first width; the paper uses 20 W (10–30 W ok).
+         * 0 makes each priority group a pure water-fill.
+         */
         Watts bucket_size = 20.0;
-
-        /** Within-group allocation rule (paper: high-bucket-first). */
-        AllocationPolicy allocation_policy = AllocationPolicy::kHighBucketFirst;
 
         /**
          * Capping brain computing the cut split (the policy lab).

@@ -75,7 +75,12 @@ UpperController::RunCycle()
         PullWithRetry(
             children_[i].id, api::PowerReadRequest{},
             [this, i, id](const rpc::Payload& resp) {
-                if (id != cycle_id_) return;
+                // A reconfig can drop a child mid-cycle: a response
+                // whose slot no longer exists is dropped. (Later slots
+                // shift down one until the next cycle; matching by
+                // child id instead would move recorded checkpoint
+                // bytes, so that is left for a golden re-record.)
+                if (id != cycle_id_ || i >= children_.size()) return;
                 if (const auto* r =
                         std::any_cast<api::PowerReadResult>(&resp)) {
                     children_[i].current = *r;
@@ -234,8 +239,8 @@ UpperController::Aggregate()
                 alloc.floor = info.floor;
                 alloc.quota = info.quota;
                 alloc.offender = info.power > info.quota;
-                alloc.bucket = static_cast<int>(
-                    info.power / upper_config_.bucket_size);
+                alloc.bucket =
+                    BucketIndex(info.power, upper_config_.bucket_size);
             }
             for (const ChildLimit& child_limit : plan.limits) {
                 if (child_limit.index >= span.allocs.size()) continue;

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "core/controller.h"
 #include "policy/capping_policy.h"
 

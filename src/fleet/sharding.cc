@@ -227,6 +227,13 @@ struct ShardedFleet::ControlShard : sim::ShardRunner
     /** SB uppers first (index = SB index), then MSB uppers. */
     std::vector<std::unique_ptr<core::UpperController>> uppers;
 
+    /**
+     * Uppers replaced by a promotion: deactivated but kept alive, since
+     * pulls they issued may still complete and those callbacks hold
+     * `this`. Not part of the snapshot.
+     */
+    std::vector<std::unique_ptr<core::UpperController>> retired_uppers;
+
     /** Indexed by global leaf. */
     std::vector<LeafProxy> proxies;
 
@@ -911,6 +918,7 @@ ShardedFleet::ApplyPromoteUpper(const ReconfigOp& op)
     // The replacement re-learns child contracts via reaffirmation and
     // the adoption path — the sharded analogue of backup promotion.
     control_->uppers[s]->Deactivate();
+    control_->retired_uppers.push_back(std::move(control_->uppers[s]));
 
     core::ControllerBuilder builder(control_->sim, control_->transport);
     builder.Endpoint("ctl:sb:" + std::to_string(s))

@@ -30,8 +30,9 @@ Fail(std::size_t line_no, const std::string& line, const std::string& why)
 }
 
 /**
- * Numeric-value errors: std::invalid_argument naming the offending
- * key and line, so "servers_per_rpp = -5" and "seed = 99999…9" fail
+ * Value errors (bad numbers, unknown or removed names):
+ * std::invalid_argument naming the offending key and line, so
+ * "servers_per_rpp = -5" and "seed = 99999…9" fail
  * with WHERE and WHY instead of a raw std::out_of_range from the
  * bowels of std::stoull.
  */
@@ -320,19 +321,20 @@ ParseFleetSpec(std::istream& in)
         } else if (key == "with_load_shedding") {
             spec.with_load_shedding = ParseBool(value, line_no, line);
         } else if (key == "allocation_policy") {
-            if (value == "high-bucket-first") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kHighBucketFirst;
-            } else if (value == "proportional") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kProportional;
+            // Legacy key: every serialized spec (and so every golden
+            // journal) carries it with its one value. The removed
+            // values name their capping_policy / bucket_w replacement.
+            if (value == "proportional") {
+                FailNumeric(key, line_no, line,
+                            "'proportional' was removed; use "
+                            "capping_policy = fairshare");
             } else if (value == "water-fill") {
-                spec.deployment.leaf.allocation_policy =
-                    core::AllocationPolicy::kWaterFill;
-            } else {
-                Fail(line_no, line,
-                     "allocation_policy must be high-bucket-first|"
-                     "proportional|water-fill");
+                FailNumeric(key, line_no, line,
+                            "'water-fill' was removed; use bucket_w = 0");
+            } else if (value != "high-bucket-first") {
+                FailNumeric(key, line_no, line,
+                            "must be high-bucket-first; for another split "
+                            "use capping_policy = fairshare or bucket_w = 0");
             }
         } else if (key == "leaf_pull_cycle_ms") {
             spec.deployment.leaf.base.pull_cycle =
@@ -445,17 +447,6 @@ MixToString(const ServiceMix& mix)
     return out;
 }
 
-const char*
-PolicyName(core::AllocationPolicy policy)
-{
-    switch (policy) {
-      case core::AllocationPolicy::kHighBucketFirst: return "high-bucket-first";
-      case core::AllocationPolicy::kProportional: return "proportional";
-      case core::AllocationPolicy::kWaterFill: return "water-fill";
-    }
-    return "high-bucket-first";
-}
-
 }  // namespace
 
 void
@@ -488,7 +479,8 @@ WriteFleetSpec(std::ostream& out, const FleetSpec& spec)
     kv("with_breaker_validation",
        spec.with_breaker_validation ? "true" : "false");
     kv("with_load_shedding", spec.with_load_shedding ? "true" : "false");
-    kv("allocation_policy", PolicyName(spec.deployment.leaf.allocation_policy));
+    // Fixed legacy line: the golden journals embed it byte for byte.
+    kv("allocation_policy", "high-bucket-first");
     kv("leaf_pull_cycle_ms",
        std::to_string(spec.deployment.leaf.base.pull_cycle));
     kv("upper_pull_cycle_ms",

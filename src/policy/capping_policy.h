@@ -3,7 +3,7 @@
  * Pluggable capping brains (the policy lab).
  *
  * The paper ships exactly one brain: three-band hysteresis plus the
- * high-bucket-first arena planner (core/capping_policy.*). ROADMAP
+ * high-bucket-first arena planner (core/allocation.*). ROADMAP
  * item 3 asks for competing brains judged side by side, so the plan
  * computation is carved out behind this strategy interface:
  *
@@ -50,7 +50,7 @@
 
 #include "common/archive.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 
 namespace dynamo::policy {
 
@@ -82,12 +82,11 @@ std::vector<PolicyKind> AllPolicyKinds();
  */
 struct PolicyContext
 {
-    /** High-bucket-first width (three_band only; others ignore it). */
+    /**
+     * High-bucket-first width for the arena planner (three_band and
+     * predictive; waterfill and fairshare ignore it). 0 water-fills.
+     */
     Watts bucket_size = 20.0;
-
-    /** Within-group rule for the three_band arena planner. */
-    core::AllocationPolicy allocation_policy =
-        core::AllocationPolicy::kHighBucketFirst;
 
     /** This cycle's aggregated power (sum over the roster view). */
     Watts aggregated = 0.0;

@@ -82,8 +82,7 @@ PredictivePlanner::PlanServerCuts(
     const Watts eff = WidenedCut(
         servers, [](const core::ServerPowerInfo& s) { return s.power; },
         level_, slope_, cut);
-    core::ComputeCappingPlan(servers, eff, ctx.bucket_size,
-                             ctx.allocation_policy, ws, plan);
+    core::ComputeCappingPlan(servers, eff, ctx.bucket_size, ws, plan);
 }
 
 void

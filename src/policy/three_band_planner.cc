@@ -8,8 +8,7 @@ ThreeBandPlanner::PlanServerCuts(
     const PolicyContext& ctx, core::CappingWorkspace& ws,
     core::CappingPlan* plan)
 {
-    core::ComputeCappingPlan(servers, cut, ctx.bucket_size,
-                             ctx.allocation_policy, ws, plan);
+    core::ComputeCappingPlan(servers, cut, ctx.bucket_size, ws, plan);
 }
 
 void

@@ -3,9 +3,8 @@
  * The paper's brain behind the CappingPolicy interface.
  *
  * A pure delegation shim: PlanServerCuts forwards to the arena
- * planner's workspace entry point with the context's bucket size and
- * allocation policy, PlanChildLimits to the punish-offender-first
- * planner. No state, no observations, zero Snapshot bytes — the
+ * planner's workspace entry point with the context's bucket size,
+ * PlanChildLimits to the punish-offender-first planner. No state, no observations, zero Snapshot bytes — the
  * refactored call path is bit-identical to the pre-interface one,
  * which the committed golden journals pin.
  */

@@ -89,7 +89,12 @@ LoadProcess::AdvanceTo(SimTime now)
         ou_state_ = rng_.Normal(0.0, params_.ou_sigma);
         const double gap_s =
             rng_.Exponential(params_.spike_rate_per_hour / 3600.0);
-        spike_start_ = now + Seconds(gap_s);
+        // The draw is kept at rate 0 so RNG streams do not move, but
+        // its +inf gap has no SimTime: park the burst at "never", as
+        // the roll-forward loop below does.
+        spike_start_ = params_.spike_rate_per_hour > 0.0
+                           ? now + Seconds(gap_s)
+                           : std::numeric_limits<SimTime>::max();
         spike_end_ = spike_start_;
         spike_mag_ = 0.0;
         return;

@@ -1,12 +1,13 @@
-// Tests for the future-work extensions: alternative allocation
-// policies, emergency load shedding, and controller cycle staggering.
+// Tests for the future-work extensions: alternative leaf cut splits,
+// emergency load shedding, and controller cycle staggering.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "core/capping_policy.h"
+#include "core/allocation.h"
 #include "fleet/fleet.h"
 #include "fleet/spec_parser.h"
+#include "policy/capping_policy.h"
 #include "telemetry/event_log.h"
 
 namespace dynamo::core {
@@ -28,25 +29,29 @@ Roster(int n, std::uint64_t seed)
     return servers;
 }
 
-TEST(AllocationPolicy, NamesAreDistinct)
+/** One leaf cut split by `kind` at `bucket_size`, on a fresh brain. */
+CappingPlan
+SplitWith(policy::PolicyKind kind, const std::vector<ServerPowerInfo>& servers,
+          Watts cut, Watts bucket_size = 20.0)
 {
-    EXPECT_STREQ(AllocationPolicyName(AllocationPolicy::kHighBucketFirst),
-                 "high-bucket-first");
-    EXPECT_STREQ(AllocationPolicyName(AllocationPolicy::kProportional),
-                 "proportional");
-    EXPECT_STREQ(AllocationPolicyName(AllocationPolicy::kWaterFill),
-                 "water-fill");
+    const auto brain = policy::MakeCappingPolicy(kind);
+    policy::PolicyContext ctx;
+    ctx.bucket_size = bucket_size;
+    CappingWorkspace ws;
+    CappingPlan plan;
+    brain->PlanServerCuts(servers, cut, ctx, ws, &plan);
+    return plan;
 }
 
-class AllocationPolicyTest : public ::testing::TestWithParam<AllocationPolicy>
+class CutSplitTest : public ::testing::TestWithParam<policy::PolicyKind>
 {
 };
 
-TEST_P(AllocationPolicyTest, ConservesCutAndRespectsFloors)
+TEST_P(CutSplitTest, ConservesCutAndRespectsFloors)
 {
     const auto servers = Roster(100, 3);
     const Watts cut = 2000.0;
-    const CappingPlan plan = ComputeCappingPlan(servers, cut, 20.0, GetParam());
+    const CappingPlan plan = SplitWith(GetParam(), servers, cut);
     EXPECT_TRUE(plan.satisfied);
     EXPECT_NEAR(plan.planned_cut, cut, 1e-3);
     for (const auto& a : plan.assignments) {
@@ -54,16 +59,17 @@ TEST_P(AllocationPolicyTest, ConservesCutAndRespectsFloors)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocationPolicyTest,
-                         ::testing::Values(AllocationPolicy::kHighBucketFirst,
-                                           AllocationPolicy::kProportional,
-                                           AllocationPolicy::kWaterFill));
+INSTANTIATE_TEST_SUITE_P(
+    AllBrains, CutSplitTest, ::testing::ValuesIn(policy::AllPolicyKinds()),
+    [](const ::testing::TestParamInfo<policy::PolicyKind>& info) {
+        return std::string(policy::PolicyKindName(info.param));
+    });
 
-TEST(AllocationPolicy, ProportionalTouchesEveryoneLightly)
+TEST(CutSplit, FairShareTouchesEveryoneLightly)
 {
     const auto servers = Roster(100, 3);
-    const CappingPlan plan = ComputeCappingPlan(
-        servers, 2000.0, 20.0, AllocationPolicy::kProportional);
+    const CappingPlan plan =
+        SplitWith(policy::PolicyKind::kFairShare, servers, 2000.0);
     // Everyone with headroom gets a (small) cut.
     EXPECT_EQ(plan.assignments.size(), servers.size());
     double max_cut = 0.0;
@@ -71,29 +77,30 @@ TEST(AllocationPolicy, ProportionalTouchesEveryoneLightly)
     EXPECT_LT(max_cut, 2000.0 / 20.0);  // no single deep victim
 }
 
-TEST(AllocationPolicy, WaterFillLevelsTheTop)
+TEST(CutSplit, BucketZeroLevelsTheTop)
 {
     const auto servers = Roster(100, 3);
-    const CappingPlan plan =
-        ComputeCappingPlan(servers, 2000.0, 20.0, AllocationPolicy::kWaterFill);
+    const CappingPlan plan = ComputeCappingPlan(servers, 2000.0, 0.0);
     EXPECT_TRUE(plan.satisfied);
+    EXPECT_NEAR(plan.planned_cut, 2000.0, 1e-3);
     // Water-filling produces a common cap level for everyone touched.
     double level = -1.0;
     for (const auto& a : plan.assignments) {
         if (level < 0.0) level = a.cap;
         EXPECT_NEAR(a.cap, level, 1.0);
+        EXPECT_GE(a.cap, 140.0 - 1e-6);
     }
     EXPECT_LT(plan.assignments.size(), servers.size());
 }
 
-TEST(AllocationPolicy, HighBucketFirstTouchesFewerThanProportional)
+TEST(CutSplit, ThreeBandTouchesFewerThanFairShare)
 {
     const auto servers = Roster(100, 3);
-    const auto hbf = ComputeCappingPlan(servers, 2000.0, 20.0,
-                                        AllocationPolicy::kHighBucketFirst);
-    const auto prop = ComputeCappingPlan(servers, 2000.0, 20.0,
-                                         AllocationPolicy::kProportional);
-    EXPECT_LT(hbf.assignments.size(), prop.assignments.size());
+    const auto three_band =
+        SplitWith(policy::PolicyKind::kThreeBand, servers, 2000.0);
+    const auto fairshare =
+        SplitWith(policy::PolicyKind::kFairShare, servers, 2000.0);
+    EXPECT_LT(three_band.assignments.size(), fairshare.assignments.size());
 }
 
 fleet::FleetSpec
@@ -188,13 +195,9 @@ TEST(Stagger, SpreadsLeafCyclesAcrossThePeriod)
 
 TEST(Stagger, SpecParserKeyRoundTrips)
 {
-    const fleet::FleetSpec spec = fleet::ParseFleetSpecString(
-        "with_load_shedding = true\nallocation_policy = proportional\n");
+    const fleet::FleetSpec spec =
+        fleet::ParseFleetSpecString("with_load_shedding = true\n");
     EXPECT_TRUE(spec.with_load_shedding);
-    EXPECT_EQ(spec.deployment.leaf.allocation_policy,
-              AllocationPolicy::kProportional);
-    EXPECT_THROW(fleet::ParseFleetSpecString("allocation_policy = best"),
-                 std::runtime_error);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "server/sim_server.h"
 #include "sim/simulation.h"
 #include "telemetry/event_log.h"
+#include "telemetry/trace.h"
 
 namespace dynamo::core {
 namespace {
@@ -34,7 +35,8 @@ SteadyLoad(double util)
 class LeafRig
 {
   public:
-    LeafRig(Watts rpp_rated, int n_web, int n_cache, double util = 0.6)
+    LeafRig(Watts rpp_rated, int n_web, int n_cache, double util = 0.6,
+            Watts bucket_size = 20.0)
         : transport(sim, 5),
           device("rpp0", power::DeviceLevel::kRpp, rpp_rated, rpp_rated)
     {
@@ -51,8 +53,14 @@ class LeafRig
                 sim, transport, *servers.back(),
                 Deployment::AgentEndpoint(servers.back()->name())));
         }
+        LeafController::Config config;
+        config.bucket_size = bucket_size;
         ControllerBuilder builder(sim, transport);
-        builder.Endpoint("ctl:rpp0").ForDevice(device).Log(&log);
+        builder.Endpoint("ctl:rpp0")
+            .ForDevice(device)
+            .LeafConfig(config)
+            .Log(&log)
+            .Telemetry(nullptr, &traces);
         for (const auto& srv : servers) builder.Agent(AgentInfoFor(*srv));
         controller = builder.BuildLeaf();
         controller->Activate();
@@ -64,6 +72,7 @@ class LeafRig
     rpc::SimTransport transport;
     power::PowerDevice device;
     telemetry::EventLog log;
+    telemetry::TraceLog traces;
     std::vector<std::unique_ptr<server::SimServer>> servers;
     std::vector<std::unique_ptr<DynamoAgent>> agents;
     std::unique_ptr<LeafController> controller;
@@ -102,6 +111,23 @@ TEST(LeafController, CapsAboveThresholdAndSettlesAtTarget)
     EXPECT_LE(rig.TruePower(), threshold);
     EXPECT_NEAR(rig.TruePower(), target, 0.04 * 2200.0);
     EXPECT_GE(rig.log.CountOf(telemetry::EventKind::kCapStart), 1u);
+}
+
+TEST(LeafController, ZeroBucketTracesRecordNoBucketIndex)
+{
+    // bucket_size = 0 water-fills the group: there are no buckets, so
+    // every traced allocation must say n/a (-1).
+    LeafRig rig(/*rated=*/2200.0, 10, 0, 0.6, /*bucket_size=*/0.0);
+    rig.sim.RunFor(Minutes(1));
+    ASSERT_TRUE(rig.controller->capping());
+    std::size_t allocs = 0;
+    for (const telemetry::TraceSpan& span : rig.traces.spans()) {
+        for (const telemetry::TraceAllocation& alloc : span.allocs) {
+            EXPECT_EQ(alloc.bucket, -1) << alloc.target;
+            ++allocs;
+        }
+    }
+    EXPECT_GT(allocs, 0u);
 }
 
 TEST(LeafController, CappingIsFast)

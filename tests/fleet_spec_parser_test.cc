@@ -222,6 +222,47 @@ TEST(SpecParser, CappingPolicySetsBothLevels)
               policy::PolicyKind::kThreeBand);
 }
 
+// The legacy allocation_policy key. Every serialized spec still carries
+// "high-bucket-first" (the golden journals embed that line), so it
+// parses and round-trips; the removed values name their replacement.
+TEST(SpecParser, LegacyAllocationPolicyKey)
+{
+    struct LegacyCase
+    {
+        const char* value;
+        const char* replacement;  // nullptr: accepted
+    };
+    const LegacyCase cases[] = {
+        {"high-bucket-first", nullptr},
+        {"proportional", "capping_policy = fairshare"},
+        {"water-fill", "bucket_w = 0"},
+        {"best", "capping_policy = fairshare"},
+    };
+    for (const LegacyCase& c : cases) {
+        const std::string text =
+            std::string("seed = 7\nallocation_policy = ") + c.value + "\n";
+        if (c.replacement == nullptr) {
+            const std::string canonical =
+                SerializeFleetSpec(ParseFleetSpecString(text));
+            EXPECT_NE(canonical.find("allocation_policy = high-bucket-first\n"),
+                      std::string::npos);
+            EXPECT_EQ(SerializeFleetSpec(ParseFleetSpecString(canonical)),
+                      canonical);
+            continue;
+        }
+        try {
+            ParseFleetSpecString(text);
+            FAIL() << "accepted removed value: " << c.value;
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("allocation_policy"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(c.replacement), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(SpecParser, RpcTimeoutMustBeBelowResponseWait)
 {
     EXPECT_THROW(

@@ -73,7 +73,7 @@ TEST(FleetSpecRoundTrip, MixWeightsAndScopesSurvive)
     FleetSpec spec;
     spec.scope = FleetScope::kMsb;
     spec.mix = ServiceMix::FrontEndRow();
-    spec.deployment.leaf.allocation_policy = core::AllocationPolicy::kWaterFill;
+    spec.deployment.leaf.bucket_size = 0.0;  // water-fill every group
     spec.deployment.with_backup_controllers = true;
     spec.with_breaker_validation = true;
     spec.with_load_shedding = true;
@@ -87,8 +87,7 @@ TEST(FleetSpecRoundTrip, MixWeightsAndScopesSurvive)
         EXPECT_EQ(reparsed.mix.shares[i].service, spec.mix.shares[i].service);
         EXPECT_EQ(reparsed.mix.shares[i].weight, spec.mix.shares[i].weight);
     }
-    EXPECT_EQ(reparsed.deployment.leaf.allocation_policy,
-              core::AllocationPolicy::kWaterFill);
+    EXPECT_EQ(reparsed.deployment.leaf.bucket_size, 0.0);
     EXPECT_TRUE(reparsed.deployment.with_backup_controllers);
 }
 

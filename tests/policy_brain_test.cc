@@ -1,9 +1,10 @@
-// Policy-lab brain tests: every brain's allocation-free planner is
+// Planner equivalence tests: every allocation-free capping planner is
 // pinned *bit-identical* to its by-value reference oracle
-// (policy/policy_reference.h) — exact EXPECT_EQ on doubles, shared
-// workspace across iterations, same discipline as the arena
-// equivalence tests. Plus the name registry / factory round-trip and
-// the three_band brain's delegation to the arena planner.
+// (policy/policy_reference.h) — exact EXPECT_EQ on doubles, with the
+// workspace shared across iterations so stale arena state would show.
+// Covers the core arena planners (core/allocation.h) and every brain,
+// plus the brain name registry / factory round-trip and the three_band
+// brain's delegation to the arena planner.
 #include "policy/capping_policy.h"
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/allocation.h"
 #include "policy/policy_reference.h"
 #include "policy/predictive_planner.h"
 
@@ -46,6 +48,7 @@ RandomChildren(Rng& rng, std::size_t n)
         core::ChildPowerInfo info;
         info.name = "child" + std::to_string(i);
         info.quota = rng.Uniform(50'000.0, 200'000.0);
+        // Mix offenders (power > quota) and compliant children.
         info.power = info.quota * rng.Uniform(0.7, 1.4);
         info.floor = info.quota * rng.Uniform(0.3, 0.7);
         children.push_back(std::move(info));
@@ -97,6 +100,183 @@ ChildContext()
     return ctx;
 }
 
+// --- Arena planners: exact-FP equivalence with the oracles -------------
+
+TEST(CappingArenaEquivalence, CappingPlanMatchesReferenceAcrossPolicies)
+{
+    core::CappingWorkspace ws;  // deliberately shared across all iterations
+    core::CappingPlan plan;
+    Rng rng(0xcafe);
+    for (int round = 0; round < 40; ++round) {
+        const std::size_t n = 1 + rng.UniformInt(60);
+        const int groups = 1 + static_cast<int>(rng.UniformInt(4));
+        const auto servers = RandomServers(rng, n, groups);
+
+        Watts total = 0.0;
+        for (const auto& s : servers) total += s.power;
+        // Cuts from trivial to unsatisfiable.
+        const Watts cut = total * rng.Uniform(0.01, 0.9);
+        // Bucket 0 water-fills each priority group.
+        const Watts bucket = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(5.0, 40.0);
+
+        const core::CappingPlan want =
+            reference::ComputeCappingPlan(servers, cut, bucket);
+        core::ComputeCappingPlan(servers, cut, bucket, ws, &plan);
+        ExpectSamePlan(plan, want);
+    }
+}
+
+TEST(CappingArenaEquivalence, LegacyWrapperFillsNames)
+{
+    Rng rng(7);
+    const auto servers = RandomServers(rng, 12, 2);
+    const core::CappingPlan by_value =
+        core::ComputeCappingPlan(servers, 500.0, 20.0);
+    const core::CappingPlan want =
+        reference::ComputeCappingPlan(servers, 500.0, 20.0);
+    ExpectSamePlan(by_value, want);
+    for (const core::CapAssignment& a : by_value.assignments) {
+        EXPECT_EQ(a.name, servers[a.index].name);
+    }
+}
+
+TEST(CappingArenaEquivalence, OffenderPlanMatchesReference)
+{
+    core::CappingWorkspace ws;
+    core::OffenderPlan plan;
+    Rng rng(0xbeef);
+    for (int round = 0; round < 40; ++round) {
+        const std::size_t n = 1 + rng.UniformInt(24);
+        const auto children = RandomChildren(rng, n);
+        Watts total = 0.0;
+        for (const auto& c : children) total += c.power;
+        const Watts cut = total * rng.Uniform(0.01, 0.6);
+        const Watts bucket = rng.Uniform(500.0, 5000.0);
+
+        const core::OffenderPlan want =
+            reference::ComputeOffenderPlan(children, cut, bucket);
+        core::ComputeOffenderPlan(children, cut, bucket, ws, &plan);
+        ExpectSamePlan(plan, want);
+
+        const core::OffenderPlan by_value =
+            core::ComputeOffenderPlan(children, cut, bucket);
+        ExpectSamePlan(by_value, want);
+        for (const core::ChildLimit& limit : by_value.limits) {
+            EXPECT_EQ(limit.name, children[limit.index].name);
+        }
+    }
+}
+
+TEST(CappingArenaEquivalence, WorkspaceReuseDoesNotLeakStateBetweenCalls)
+{
+    // A big call followed by a small one: stale entries in the arena
+    // beyond the small call's item count must not influence the result.
+    core::CappingWorkspace ws;
+    core::CappingPlan plan;
+    Rng rng(3);
+    const auto big = RandomServers(rng, 64, 3);
+    core::ComputeCappingPlan(big, 5000.0, 20.0, ws, &plan);
+
+    const auto small = RandomServers(rng, 3, 1);
+    const core::CappingPlan want =
+        reference::ComputeCappingPlan(small, 120.0, 20.0);
+    core::ComputeCappingPlan(small, 120.0, 20.0, ws, &plan);
+    ExpectSamePlan(plan, want);
+}
+
+// --- BucketedEvenCut edge cases (each pinned to the oracle too) --------
+
+void
+ExpectSameCuts(const std::vector<Watts>& powers,
+               const std::vector<Watts>& floors, Watts cut, Watts bucket)
+{
+    const std::vector<Watts> want =
+        reference::BucketedEvenCut(powers, floors, cut, bucket);
+    const std::vector<Watts> got =
+        core::BucketedEvenCut(powers, floors, cut, bucket);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << i;
+    }
+
+    core::CappingWorkspace ws;
+    core::BucketedEvenCut(powers, floors, cut, bucket, ws);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(ws.cuts[i], want[i]) << i;
+    }
+}
+
+TEST(BucketedEvenCutEdges, EmptyInputYieldsEmptyCuts)
+{
+    ExpectSameCuts({}, {}, 100.0, 20.0);
+    EXPECT_TRUE(core::BucketedEvenCut({}, {}, 100.0, 20.0).empty());
+}
+
+TEST(BucketedEvenCutEdges, CutExceedingHeadroomClampsToFloors)
+{
+    const std::vector<Watts> powers = {300.0, 250.0, 180.0};
+    const std::vector<Watts> floors = {150.0, 140.0, 120.0};
+    // Total headroom is 320 W; ask for far more.
+    ExpectSameCuts(powers, floors, 10'000.0, 20.0);
+
+    const auto cuts = core::BucketedEvenCut(powers, floors, 10'000.0, 20.0);
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+        // Every server is driven exactly to its floor, never below.
+        EXPECT_DOUBLE_EQ(powers[i] - cuts[i], floors[i]) << i;
+    }
+}
+
+TEST(BucketedEvenCutEdges, AllAtSlaFloorAllocatesNothing)
+{
+    const std::vector<Watts> powers = {150.0, 140.0, 120.0};
+    const std::vector<Watts> floors = {150.0, 140.0, 120.0};
+    ExpectSameCuts(powers, floors, 500.0, 20.0);
+
+    const auto cuts = core::BucketedEvenCut(powers, floors, 500.0, 20.0);
+    for (const Watts c : cuts) EXPECT_EQ(c, 0.0);
+}
+
+TEST(BucketedEvenCutEdges, BucketWiderThanPowerSpreadActsAsOneBucket)
+{
+    // Spread is 30 W; a 500 W bucket puts everyone in the top bucket,
+    // so the cut is water-filled evenly across all servers at once.
+    const std::vector<Watts> powers = {310.0, 300.0, 290.0, 280.0};
+    const std::vector<Watts> floors = {100.0, 100.0, 100.0, 100.0};
+    ExpectSameCuts(powers, floors, 200.0, 500.0);
+
+    const auto cuts = core::BucketedEvenCut(powers, floors, 200.0, 500.0);
+    Watts total = 0.0;
+    for (const Watts c : cuts) total += c;
+    EXPECT_NEAR(total, 200.0, 1e-6);
+    // One bucket, ample headroom everywhere: the cut splits evenly
+    // across all servers (200 W / 4 = 50 W each) in a single round.
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+        EXPECT_NEAR(cuts[i], 50.0, 1e-9) << i;
+    }
+}
+
+TEST(BucketedEvenCutEdges, RandomizedInputsMatchReference)
+{
+    Rng rng(0xfeed);
+    for (int round = 0; round < 60; ++round) {
+        const std::size_t n = 1 + rng.UniformInt(50);
+        std::vector<Watts> powers;
+        std::vector<Watts> floors;
+        for (std::size_t i = 0; i < n; ++i) {
+            powers.push_back(rng.Uniform(50.0, 500.0));
+            // Occasionally floor >= power (no headroom at all).
+            floors.push_back(rng.Bernoulli(0.1) ? powers.back()
+                                                : rng.Uniform(20.0, 200.0));
+        }
+        Watts total = 0.0;
+        for (const Watts p : powers) total += p;
+        const Watts cut = total * rng.Uniform(0.0, 0.8);
+        const Watts bucket = rng.Bernoulli(0.15) ? 0.0 : rng.Uniform(1.0, 100.0);
+        ExpectSameCuts(powers, floors, cut, bucket);
+    }
+}
+
+
 // --- Name registry and factory ---------------------------------------
 
 TEST(PolicyRegistry, NamesRoundTripThroughParse)
@@ -146,8 +326,8 @@ TEST(ThreeBandPlanner, MatchesArenaPlannerExactly)
 
         PolicyContext ctx = ServerContext();
         brain->PlanServerCuts(servers, cut, ctx, ws, &plan);
-        core::ComputeCappingPlan(servers, cut, ctx.bucket_size,
-                                 ctx.allocation_policy, arena_ws, &want);
+        core::ComputeCappingPlan(servers, cut, ctx.bucket_size, arena_ws,
+                                 &want);
         ExpectSamePlan(plan, want);
     }
 }
@@ -285,6 +465,46 @@ TEST(FairSharePlanner, ChildPlanMatchesOracleExactly)
     }
 }
 
+TEST(FairSharePlanner, OneGroupSplitIsProportionalToHeadroom)
+{
+    // One priority group means one weight, so the first round already
+    // gives every server cut * h_i / sum(h) and nothing clips.
+    const auto brain = MakeCappingPolicy(PolicyKind::kFairShare);
+    core::CappingWorkspace ws;
+    core::CappingPlan plan;
+    Rng rng(0xfa4);
+    for (int round = 0; round < 500; ++round) {
+        const std::size_t n = 1 + rng.UniformInt(60);
+        const auto servers = RandomServers(rng, n, 1);
+        std::vector<Watts> headroom(n);
+        Watts total = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            headroom[i] =
+                std::max(0.0, servers[i].power - servers[i].sla_min_cap);
+            total += headroom[i];
+        }
+        if (total <= 0.0) continue;
+        // Feasible cuts, and unsatisfiable ones that floor everyone.
+        const bool feasible = !rng.Bernoulli(0.2);
+        const Watts cut = total * (feasible ? rng.Uniform(0.01, 0.99)
+                                            : rng.Uniform(1.01, 1.5));
+
+        brain->PlanServerCuts(servers, cut, ServerContext(), ws, &plan);
+        EXPECT_EQ(plan.satisfied, feasible);
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (headroom[i] <= 0.0) continue;
+            ASSERT_LT(k, plan.assignments.size());
+            const core::CapAssignment& a = plan.assignments[k++];
+            EXPECT_EQ(a.index, i);
+            const Watts want =
+                feasible ? cut * headroom[i] / total : headroom[i];
+            EXPECT_NEAR(a.cut, want, 1e-12 * want) << i;
+        }
+        EXPECT_EQ(k, plan.assignments.size());
+    }
+}
+
 TEST(FairSharePlanner, NeverContractsChildBelowFloor)
 {
     const auto brain = MakeCappingPolicy(PolicyKind::kFairShare);
@@ -339,8 +559,8 @@ TEST(PredictivePlanner, PlanEqualsArenaPlanOfOracleWidenedCut)
 
         const Watts widened = oracle.WidenedCut(powers, cut);
         EXPECT_GE(widened, cut);  // never cuts less than reactive
-        core::ComputeCappingPlan(servers, widened, ctx.bucket_size,
-                                 ctx.allocation_policy, arena_ws, &want);
+        core::ComputeCappingPlan(servers, widened, ctx.bucket_size, arena_ws,
+                                 &want);
         ExpectSamePlan(plan, want);
     }
 }
@@ -381,8 +601,7 @@ TEST(PredictivePlanner, ForecastResetsOnRosterSizeChange)
         powers[i] = servers[i].power;
     }
     core::ComputeCappingPlan(servers, oracle.WidenedCut(powers, cut),
-                             ctx.bucket_size, ctx.allocation_policy, arena_ws,
-                             &want);
+                             ctx.bucket_size, arena_ws, &want);
     ExpectSamePlan(plan, want);
 }
 
@@ -408,8 +627,7 @@ TEST(PredictivePlanner, ResetDropsForecastState)
     for (const auto& s : servers) total += s.power;
     const Watts cut = total * 0.25;
     brain.PlanServerCuts(servers, cut, ctx, ws, &plan);
-    core::ComputeCappingPlan(servers, cut, ctx.bucket_size,
-                             ctx.allocation_policy, arena_ws, &want);
+    core::ComputeCappingPlan(servers, cut, ctx.bucket_size, arena_ws, &want);
     ExpectSamePlan(plan, want);
 }
 
