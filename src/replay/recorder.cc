@@ -20,16 +20,8 @@ Recorder::Recorder(fleet::Fleet& fleet, RecorderConfig config)
         span_watermark_ = traces->next_id();
     }
 
-    fleet_.transport().set_call_observer(
-        [this](rpc::EndpointId id, rpc::CallFate fate, SimTime now) {
-            rpc_hash_.Mix(id);
-            rpc_hash_.Mix(static_cast<std::uint64_t>(fate));
-            rpc_hash_.Mix(static_cast<std::uint64_t>(now));
-        });
-    fleet_.sim().set_event_observer([this](SimTime t, std::uint64_t seq) {
-        kernel_hash_.Mix(static_cast<std::uint64_t>(t));
-        kernel_hash_.Mix(seq);
-    });
+    fleet_.transport().set_call_digest(&rpc_hash_);
+    fleet_.sim().set_event_digest(&kernel_hash_);
     fleet_.set_reconfig_observer([this](std::uint64_t epoch, SimTime time,
                                         const std::string& description) {
         journal_.reconfigs.push_back(ReconfigRecord{epoch, time, description});
@@ -44,8 +36,8 @@ Recorder::Recorder(fleet::Fleet& fleet, RecorderConfig config)
 Recorder::~Recorder()
 {
     task_.Cancel();
-    fleet_.transport().set_call_observer({});
-    fleet_.sim().set_event_observer({});
+    fleet_.transport().set_call_digest(nullptr);
+    fleet_.sim().set_event_digest(nullptr);
     fleet_.set_reconfig_observer({});
 }
 

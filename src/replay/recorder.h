@@ -4,11 +4,11 @@
  *
  * The recorder installs three observers —
  *
- *   - `SimTransport::set_call_observer`: every RPC delivery/failure
+ *   - `SimTransport::set_call_digest`: every RPC delivery/failure
  *     (endpoint, fate, time) is folded into a per-window rolling hash,
  *     so any divergence in the message stream is caught at the exact
  *     window it first occurs;
- *   - `Simulation::set_event_observer`: every timing-wheel firing
+ *   - `Simulation::set_event_digest`: every timing-wheel firing
  *     ((time, seq)) is folded into a second per-window hash, catching
  *     scheduling-order divergence even when it has no RPC effect yet;
  *   - `CampaignEngine::set_fault_observer` (wired by the caller via

@@ -306,7 +306,10 @@ void Simulation::ExecuteSlot(SimTime t)
             --table_->live;
             now_ = t;
             ++events_executed_;
-            if (event_observer_) event_observer_(t, pool_[idx].seq);
+            if (event_digest_ != nullptr) {
+                event_digest_->Mix(static_cast<std::uint64_t>(t));
+                event_digest_->Mix(pool_[idx].seq);
+            }
 
             // Move the callback out before invoking: the callback may
             // schedule events and grow the slab, invalidating every
