@@ -58,14 +58,10 @@ main()
     core::DynamoAgent agent(sim, transport, srv, "agent:web0");
 
     sim.ScheduleAt(kCapTime, [&]() {
-        transport.Call(
-            "agent:web0", api::CapRequest{kCap}, [](const rpc::Payload&) {},
-            [](const std::string&) {});
+        transport.Call("agent:web0", api::CapRequest{kCap}, {});
     });
     sim.ScheduleAt(kUncapTime, [&]() {
-        transport.Call(
-            "agent:web0", api::CapRequest{std::nullopt}, [](const rpc::Payload&) {},
-            [](const std::string&) {});
+        transport.Call("agent:web0", api::CapRequest{std::nullopt}, {});
     });
 
     // Record the fine-grained trace while the simulation runs.

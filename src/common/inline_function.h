@@ -1,14 +1,17 @@
 /**
  * @file
- * Small-buffer-optimized move-only callable, `void()` signature.
+ * Small-buffer-optimized move-only callable with a call signature.
  *
- * The event kernel stores millions of short-lived callbacks; wrapping
- * each in `std::function` costs a heap allocation for anything larger
- * than the implementation's tiny inline buffer (typically 16 bytes —
- * smaller than a single captured `std::shared_ptr` plus `this`).
- * `InlineFunction` raises the inline capacity so the kernel's dominant
- * closures (controller cycle ticks, RPC delivery/timeout
- * continuations) are stored directly inside the event slab, falling
+ * The event kernel stores millions of short-lived callbacks, and the
+ * RPC layer one completion per call; wrapping each in `std::function`
+ * costs a heap allocation for anything larger than the
+ * implementation's tiny inline buffer (typically 16 bytes — smaller
+ * than a single captured `std::shared_ptr` plus `this`).
+ * `InlineFunction` raises the inline capacity so the dominant
+ * closures — kernel events (controller cycle ticks, the transport's
+ * `[this, slot]` call events) and RPC completions, including the
+ * retry wrapper that carries a caller's completion inside its own —
+ * are stored directly inside the event slab or call record, falling
  * back to the heap only for outsized captures.
  */
 #ifndef DYNAMO_COMMON_INLINE_FUNCTION_H_
@@ -22,16 +25,20 @@
 
 namespace dynamo {
 
+template <std::size_t Capacity, typename Signature = void()>
+class InlineFunction;
+
 /**
- * Move-only `void()` callable with `Capacity` bytes of inline storage.
+ * Move-only `R(Args...)` callable with `Capacity` bytes of inline
+ * storage.
  *
  * Callables that fit in `Capacity` bytes (and are nothrow
  * move-constructible) are stored inline; larger ones are heap-backed.
- * Invoking an empty InlineFunction is undefined (assert in debug via
- * the null vtable check at the call site).
+ * Invoking an empty InlineFunction is undefined; test with
+ * `operator bool` where emptiness is a legal state.
  */
-template <std::size_t Capacity>
-class InlineFunction
+template <std::size_t Capacity, typename R, typename... Args>
+class InlineFunction<Capacity, R(Args...)>
 {
   public:
     InlineFunction() = default;
@@ -42,8 +49,8 @@ class InlineFunction
     InlineFunction(F&& fn)  // NOLINT(google-explicit-constructor)
     {
         using Decayed = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Decayed&>,
-                      "InlineFunction requires a void() callable");
+        static_assert(std::is_invocable_r_v<R, Decayed&, Args...>,
+                      "InlineFunction: callable does not match the signature");
         if constexpr (sizeof(Decayed) <= Capacity &&
                       alignof(Decayed) <= alignof(std::max_align_t) &&
                       std::is_nothrow_move_constructible_v<Decayed>) {
@@ -74,7 +81,10 @@ class InlineFunction
 
     explicit operator bool() const { return vtable_ != nullptr; }
 
-    void operator()() { vtable_->invoke(storage_); }
+    R operator()(Args... args)
+    {
+        return vtable_->invoke(storage_, std::forward<Args>(args)...);
+    }
 
     /** True if the wrapped callable lives in the inline buffer. */
     bool is_inline() const { return vtable_ != nullptr && vtable_->inline_storage; }
@@ -82,7 +92,7 @@ class InlineFunction
   private:
     struct VTable
     {
-        void (*invoke)(void* storage);
+        R (*invoke)(void* storage, Args&&... args);
         void (*move)(void* dst, void* src);  // move-construct dst from src
         void (*destroy)(void* storage);
         bool inline_storage;
@@ -90,7 +100,10 @@ class InlineFunction
 
     template <typename F>
     static constexpr VTable kInlineVtable = {
-        [](void* storage) { (*std::launder(reinterpret_cast<F*>(storage)))(); },
+        [](void* storage, Args&&... args) -> R {
+            return (*std::launder(reinterpret_cast<F*>(storage)))(
+                std::forward<Args>(args)...);
+        },
         [](void* dst, void* src) {
             ::new (dst) F(std::move(*std::launder(reinterpret_cast<F*>(src))));
         },
@@ -100,8 +113,9 @@ class InlineFunction
 
     template <typename F>
     static constexpr VTable kHeapVtable = {
-        [](void* storage) {
-            (**std::launder(reinterpret_cast<F**>(storage)))();
+        [](void* storage, Args&&... args) -> R {
+            return (**std::launder(reinterpret_cast<F**>(storage)))(
+                std::forward<Args>(args)...);
         },
         [](void* dst, void* src) {
             ::new (dst) F*(*std::launder(reinterpret_cast<F**>(src)));

@@ -1,6 +1,7 @@
 #include "core/agent.h"
 
 #include <utility>
+#include <variant>
 
 #include "telemetry/metrics.h"
 
@@ -55,7 +56,7 @@ DynamoAgent::Handle(const rpc::Payload& request)
 {
     const SimTime now = sim_.Now();
 
-    if (std::any_cast<api::PowerReadRequest>(&request) != nullptr) {
+    if (std::holds_alternative<api::PowerReadRequest>(request)) {
         ++reads_served_;
         if (m_reads_ != nullptr) m_reads_->Inc();
         api::PowerReadResult resp;
@@ -77,7 +78,7 @@ DynamoAgent::Handle(const rpc::Payload& request)
         resp.conversion_loss = bd.conversion_loss;
         return resp;
     }
-    if (const auto* cap = std::any_cast<api::CapRequest>(&request)) {
+    if (const auto* cap = std::get_if<api::CapRequest>(&request)) {
         if (cap->limit) {
             ++caps_applied_;
             if (m_caps_ != nullptr) m_caps_->Inc();
@@ -89,7 +90,7 @@ DynamoAgent::Handle(const rpc::Payload& request)
         }
         return api::CapResult{api::Status::Ok()};
     }
-    if (const auto* tune = std::any_cast<api::TuneEstimate>(&request)) {
+    if (const auto* tune = std::get_if<api::TuneEstimate>(&request)) {
         // Estimate=1 / reference=ratio nudges the model's bias by the
         // controller-computed correction factor.
         server_.estimator().Tune(1.0, tune->reference_ratio);

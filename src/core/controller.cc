@@ -1,8 +1,8 @@
 #include "core/controller.h"
 
-#include <functional>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 namespace dynamo::core {
 
@@ -88,7 +88,7 @@ Controller::Deactivate()
 rpc::Payload
 Controller::Handle(const rpc::Payload& request)
 {
-    if (std::any_cast<api::PowerReadRequest>(&request) != nullptr) {
+    if (std::holds_alternative<api::PowerReadRequest>(request)) {
         api::PowerReadResult resp;
         resp.source = endpoint_;
         resp.power = last_power_;
@@ -100,7 +100,7 @@ Controller::Handle(const rpc::Payload& request)
         resp.contract = contractual_limit_;
         return resp;
     }
-    if (const auto* update = std::any_cast<api::ContractUpdate>(&request)) {
+    if (const auto* update = std::get_if<api::ContractUpdate>(&request)) {
         // A contract stamped with an older spec epoch was computed
         // against a pre-reconfiguration topology; applying it could
         // cap a subtree that no longer exists under that parent (or
@@ -121,7 +121,7 @@ Controller::Handle(const rpc::Payload& request)
         }
         return api::CapResult{api::Status::Ok()};
     }
-    if (std::any_cast<api::HealthProbe>(&request) != nullptr) {
+    if (std::holds_alternative<api::HealthProbe>(request)) {
         return api::HealthResult{api::Status::Ok()};
     }
     return HandleExtra(request);
@@ -135,42 +135,42 @@ Controller::HandleExtra(const rpc::Payload&)
 }
 
 void
-Controller::PullWithRetry(rpc::EndpointId endpoint, rpc::Payload request,
-                          rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err)
+Controller::PullWithRetry(rpc::EndpointId endpoint, PullCallback on_read)
 {
-    const int attempts = 1 + config_.pull_retries;
-    const SimTime per_attempt =
-        std::max<SimTime>(1, config_.rpc_timeout / attempts);
-    PullAttempt(endpoint, std::move(request), std::move(on_ok),
-                std::move(on_err), 0, per_attempt, cycle_id_);
+    PullAttempt(endpoint, std::move(on_read), 0, cycle_id_);
 }
 
 void
-Controller::PullAttempt(rpc::EndpointId endpoint, rpc::Payload request,
-                        rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err,
-                        int attempt, SimTime per_attempt_timeout,
-                        std::uint64_t cycle)
+Controller::PullAttempt(rpc::EndpointId endpoint, PullCallback on_read,
+                        int attempt, std::uint64_t cycle)
 {
+    // The rpc_timeout budget is split evenly across the attempts.
+    const SimTime per_attempt_timeout = std::max<SimTime>(
+        1, config_.rpc_timeout / (1 + config_.pull_retries));
     transport_.Call(
-        endpoint, request, on_ok,
-        [this, endpoint, request, on_ok, on_err, attempt, per_attempt_timeout,
-         cycle](const std::string& reason) {
+        endpoint, api::PowerReadRequest{},
+        [this, endpoint, attempt, cycle,
+         on_read = std::move(on_read)](const rpc::Reply& reply) mutable {
             if (cycle != cycle_id_) return;  // cycle moved on; abandon
-            if (attempt >= config_.pull_retries) {
-                on_err(reason);
+            if (reply.ok()) {
+                if (const auto* r = reply.get<api::PowerReadResult>()) {
+                    on_read(*r);
+                }
                 return;
             }
+            // Out of attempts: the failure is implicit, the caller's
+            // reading for this cycle simply stays missing.
+            if (attempt >= config_.pull_retries) return;
             ++retries_issued_;
             SimTime backoff = config_.retry_backoff << attempt;
             if (config_.retry_jitter > 0) {
                 backoff += static_cast<SimTime>(retry_rng_.UniformInt(
                     static_cast<std::uint64_t>(config_.retry_jitter) + 1));
             }
-            sim_.ScheduleAfter(backoff, [this, endpoint, request, on_ok, on_err,
-                                         attempt, per_attempt_timeout, cycle]() {
+            sim_.ScheduleAfter(backoff, [this, endpoint, attempt, cycle,
+                                         on_read = std::move(on_read)]() mutable {
                 if (cycle != cycle_id_) return;
-                PullAttempt(endpoint, request, on_ok, on_err, attempt + 1,
-                            per_attempt_timeout, cycle);
+                PullAttempt(endpoint, std::move(on_read), attempt + 1, cycle);
             });
         },
         per_attempt_timeout);

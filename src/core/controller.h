@@ -22,6 +22,7 @@
 #include <string>
 
 #include "common/archive.h"
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/api.h"
@@ -396,14 +397,23 @@ class Controller
     virtual rpc::Payload HandleExtra(const rpc::Payload& request);
 
     /**
-     * Issue one pull with bounded retry: the rpc_timeout budget is
-     * split evenly across 1 + pull_retries attempts; failed attempts
-     * are retried after exponential backoff with jitter. Exactly one
-     * of `on_ok` / `on_err` fires unless the cycle advances first, in
-     * which case the chain is abandoned (the next cycle re-pulls).
+     * Success continuation of one pull: the pullee's read result.
+     * Sized for a `[this, index]` capture, so a pull's whole retry
+     * chain fits inline in one rpc::Completion.
      */
-    void PullWithRetry(rpc::EndpointId endpoint, rpc::Payload request,
-                       rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err);
+    using PullCallback = InlineFunction<24, void(const api::PowerReadResult&)>;
+
+    /**
+     * Issue one PowerReadRequest pull with bounded retry: the
+     * rpc_timeout budget is split evenly across 1 + pull_retries
+     * attempts; failed attempts are retried after exponential backoff
+     * with jitter, the callback moving from attempt to attempt.
+     * `on_read` runs at most once, with the first PowerReadResult that
+     * arrives while the issuing cycle is still current; a pull that
+     * exhausts its attempts, or outlives its cycle, never runs it (the
+     * next cycle re-pulls).
+     */
+    void PullWithRetry(rpc::EndpointId endpoint, PullCallback on_read);
 
     /**
      * Advance the health state machine after one aggregation attempt
@@ -466,10 +476,8 @@ class Controller
     std::uint64_t cycle_id_ = 0;
 
   private:
-    void PullAttempt(rpc::EndpointId endpoint, rpc::Payload request,
-                     rpc::ResponseCallback on_ok, rpc::ErrorCallback on_err,
-                     int attempt, SimTime per_attempt_timeout,
-                     std::uint64_t cycle);
+    void PullAttempt(rpc::EndpointId endpoint, PullCallback on_read,
+                     int attempt, std::uint64_t cycle);
 
     rpc::Payload Handle(const rpc::Payload& request);
 

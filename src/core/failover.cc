@@ -68,8 +68,11 @@ FailoverManager::Check()
     if (switched_) return;
     transport_.Call(
         primary_.endpoint_id(), api::HealthProbe{},
-        [this](const rpc::Payload&) { misses_ = 0; },
-        [this](const std::string&) {
+        [this](const rpc::Reply& reply) {
+            if (reply.ok()) {
+                misses_ = 0;
+                return;
+            }
             ++misses_;
             if (misses_ < miss_threshold_ || switched_) return;
             Promote();

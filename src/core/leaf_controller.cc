@@ -51,19 +51,14 @@ LeafController::RunCycle()
     const std::uint64_t id = ++cycle_id_;
     for (AgentState& a : agents_) a.current.reset();
     for (std::size_t i = 0; i < agents_.size(); ++i) {
-        PullWithRetry(
-            agents_[i].id, api::PowerReadRequest{},
-            [this, i, id](const rpc::Payload& resp) {
-                if (id != cycle_id_) return;  // stale cycle
-                const auto* r = std::any_cast<api::PowerReadResult>(&resp);
-                if (r != nullptr && r->status.ok()) {
-                    agents_[i].current = *r;
-                }
-            },
-            [](const std::string&) {
-                // Failure is implicit: `current` stays empty and
-                // Aggregate substitutes an estimate.
-            });
+        // Failure is implicit: `current` stays empty and Aggregate
+        // substitutes an estimate.
+        PullWithRetry(agents_[i].id, [this, i](const api::PowerReadResult& r) {
+            if (r.status.ok()) {
+                agents_[i].current =
+                    Reading{r.power, r.power_limit, r.estimated, r.capped};
+            }
+        });
     }
     sim_.ScheduleAfter(config_.response_wait, [this, id]() {
         if (id != cycle_id_) return;
@@ -105,10 +100,8 @@ LeafController::ValidateAgainstBreaker(Watts aggregated)
     for (const AgentState& a : agents_) {
         if (!a.current || !a.current->estimated) continue;
         ++tunes_sent_;
-        transport_.Call(
-            a.id, api::TuneEstimate{ratio},
-            [](const rpc::Payload&) {}, [](const std::string&) {},
-            config_.rpc_timeout);
+        transport_.Call(a.id, api::TuneEstimate{ratio}, {},
+                        config_.rpc_timeout);
     }
 }
 
@@ -365,14 +358,10 @@ LeafController::ExecuteCapPlan(const CappingPlan& plan)
         AgentState& a = agents_[assignment.index];
         a.capped = true;
         a.cap = assignment.cap;
-        transport_.Call(
-            a.id, api::CapRequest{assignment.cap},
-            [](const rpc::Payload&) {},
-            [](const std::string&) {
-                // A lost cap command is retried implicitly: the next
-                // cycle re-evaluates and re-issues caps as needed.
-            },
-            config_.rpc_timeout);
+        // A lost cap command is retried implicitly: the next cycle
+        // re-evaluates and re-issues caps as needed.
+        transport_.Call(a.id, api::CapRequest{assignment.cap}, {},
+                        config_.rpc_timeout);
     }
 }
 
@@ -383,9 +372,8 @@ LeafController::ExecuteUncap()
         if (!a.capped) continue;
         a.capped = false;
         a.cap = 0.0;
-        transport_.Call(
-            a.id, api::CapRequest{std::nullopt}, [](const rpc::Payload&) {},
-            [](const std::string&) {}, config_.rpc_timeout);
+        transport_.Call(a.id, api::CapRequest{std::nullopt}, {},
+                        config_.rpc_timeout);
     }
 }
 

@@ -185,6 +185,15 @@ class LeafController : public Controller
   private:
     friend class ControllerBuilder;
 
+    /** The fields of an agent's PowerReadResult that the leaf reads. */
+    struct Reading
+    {
+        Watts power = 0.0;
+        Watts power_limit = 0.0;
+        bool estimated = false;
+        bool capped = false;
+    };
+
     struct AgentState
     {
         AgentInfo info;
@@ -193,11 +202,10 @@ class LeafController : public Controller
         rpc::EndpointId id = rpc::kInvalidEndpoint;
 
         /**
-         * This cycle's reading; nullopt covers both "no response yet"
-         * and "pull failed" (the result's Status distinguishes an
-         * unreachable agent from one reporting an error).
+         * This cycle's reading; nullopt covers "no response yet",
+         * "pull failed" and "agent reported a non-ok status" alike.
          */
-        std::optional<api::PowerReadResult> current;
+        std::optional<Reading> current;
         Watts last_power = 0.0;
         bool have_last = false;
         SimTime last_time = 0;  ///< When last_power was read (TTL check).

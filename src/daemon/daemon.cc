@@ -219,7 +219,7 @@ Daemon::RegisterStatusEndpoint()
 rpc::Payload
 Daemon::HandleStatus(const rpc::Payload& request)
 {
-    if (std::any_cast<api::StatusRequest>(&request) == nullptr) {
+    if (!std::holds_alternative<api::StatusRequest>(request)) {
         api::StatusResult nack;
         nack.status = api::Status::Unimplemented("expected StatusRequest");
         nack.endpoint = endpoint_;

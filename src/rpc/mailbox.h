@@ -8,10 +8,10 @@
  * to endpoints living on another shard; the barrier thread drains the
  * queue in FIFO order and hands the whole batch to the target shard's
  * transport as ONE `CallBatch` delivery pass at the window boundary —
- * one kernel event per destination shard per window, never one
- * three-event Call (timeout + delivery + response) per message. A
- * message produced in window W is therefore delivered in window W+1 —
- * the contract-visibility latency DESIGN.md §10 documents.
+ * one kernel event per destination shard per window, never one Call
+ * event (plus call record) per message. A message produced in window
+ * W is therefore delivered in window W+1 — the contract-visibility
+ * latency DESIGN.md §10 documents.
  *
  * Synchronization contract (why there are no atomics here): at most
  * one thread executes a given shard inside a window, so pushes are

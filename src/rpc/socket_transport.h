@@ -21,14 +21,14 @@
  *     both directions; call_ids pair responses with requests.
  *   - **Event loop**: the owner pumps `PollOnce(budget_ms)` — a single
  *     poll(2) pass over the listener and every connection. All
- *     callbacks (handlers, on_ok, on_err) fire from inside PollOnce,
- *     never re-entrantly from Call, preserving the SimTransport
- *     ordering contract.
+ *     callbacks (handlers and call completions) fire from inside
+ *     PollOnce, never re-entrantly from Call, preserving the
+ *     SimTransport ordering contract.
  *
  * Failure-semantics parity with SimTransport (the table DESIGN.md §12
  * documents):
  *
- *   SimTransport fate          SocketTransport condition        on_err
+ *   SimTransport fate          SocketTransport condition        Reply::error()
  *   kFail / unregistered       no route; connect refused/reset; "connection
  *                              peer error-frame; torn stream     failed"
  *   kBlackhole / slow peer     no response within deadline      "timeout"
@@ -123,8 +123,8 @@ class SocketTransport final : public Transport
     /** Calls issued and not yet completed (test/shutdown drains). */
     std::size_t pending_calls() const;
 
-    void Call(EndpointId id, Payload request, ResponseCallback on_ok,
-              ErrorCallback on_err, SimTime timeout_ms = 1000) override;
+    void Call(EndpointId id, Payload request, Completion done,
+              SimTime timeout_ms = 1000) override;
     using Transport::Call;
 
     /**
@@ -142,8 +142,7 @@ class SocketTransport final : public Transport
     struct PendingCall
     {
         std::uint64_t call_id = 0;
-        ResponseCallback on_ok;
-        ErrorCallback on_err;
+        Completion done;
         std::chrono::steady_clock::time_point deadline;
     };
 
@@ -159,16 +158,15 @@ class SocketTransport final : public Transport
         std::chrono::steady_clock::time_point connect_deadline;
     };
 
-    /** A completion captured during a poll pass; fired at the end of
-     *  the pass so callbacks never mutate the fd set mid-iteration. */
-    struct Completion
+    /** A call outcome captured during a poll pass; fired at the end
+     *  of the pass so callbacks never mutate the fd set mid-iteration. */
+    struct Finished
     {
         bool ok = false;
         Payload response;          // ok
         std::string reason;        // !ok: "connection failed" / "timeout"
         bool timed_out = false;    // !ok: counts rpc.timeouts vs rpc.errors
-        ResponseCallback on_ok;
-        ErrorCallback on_err;
+        Completion done;
     };
 
     /** Find or dial the connection for a peer address. */
@@ -179,20 +177,20 @@ class SocketTransport final : public Transport
 
     /** Drain readable bytes; dispatch complete frames. Returns false
      *  when the connection died (caller must FailConnection). */
-    bool ReadAndDispatch(Connection& conn, std::vector<Completion>& done);
+    bool ReadAndDispatch(Connection& conn, std::vector<Finished>& done);
 
     /** Serve one inbound request frame (invoke handler, queue reply). */
     void ServeRequest(Connection& conn, const wire::Frame& frame);
 
     /** Complete one pending call from a response/error frame. */
     void HandleReply(Connection& conn, const wire::Frame& frame,
-                     std::vector<Completion>& done);
+                     std::vector<Finished>& done);
 
     /** Fail every pending call on a dead connection and drop it. */
-    void FailConnection(std::size_t index, std::vector<Completion>& done);
+    void FailConnection(std::size_t index, std::vector<Finished>& done);
 
-    /** Fire captured completions (end of a poll pass). */
-    std::size_t FireCompletions(std::vector<Completion>& done);
+    /** Fire captured outcomes (end of a poll pass). */
+    std::size_t FireCompletions(std::vector<Finished>& done);
 
     Options options_;
     int listen_fd_ = -1;
@@ -210,8 +208,7 @@ class SocketTransport final : public Transport
     {
         EndpointId target = kInvalidEndpoint;
         Payload request;
-        ResponseCallback on_ok;
-        ErrorCallback on_err;
+        Completion done;
         bool fire_and_forget = false;
     };
     std::deque<LocalCall> local_calls_;

@@ -1,6 +1,8 @@
 #include "rpc/wire.h"
 
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/archive.h"
 #include "core/api.h"
@@ -150,96 +152,67 @@ MessageTypeName(MessageType type)
     return "?";
 }
 
+// Payload lists the api messages in MessageType order, so a payload's
+// wire tag is its variant index + 1.
+static_assert(std::variant_size_v<Payload> ==
+              static_cast<std::size_t>(MessageType::kStatusResult));
+static_assert(std::is_same_v<std::variant_alternative_t<
+                                 static_cast<std::size_t>(
+                                     MessageType::kPowerReadResult) - 1,
+                                 Payload>,
+                             api::PowerReadResult>);
+static_assert(std::is_same_v<std::variant_alternative_t<
+                                 static_cast<std::size_t>(
+                                     MessageType::kStatusResult) - 1,
+                                 Payload>,
+                             api::StatusResult>);
+
 MessageType
-TypeOf(const std::any& message)
+TypeOf(const Payload& message)
 {
-    if (message.type() == typeid(api::PowerReadRequest)) {
-        return MessageType::kPowerReadRequest;
-    }
-    if (message.type() == typeid(api::PowerReadResult)) {
-        return MessageType::kPowerReadResult;
-    }
-    if (message.type() == typeid(api::CapRequest)) {
-        return MessageType::kCapRequest;
-    }
-    if (message.type() == typeid(api::CapResult)) {
-        return MessageType::kCapResult;
-    }
-    if (message.type() == typeid(api::ContractUpdate)) {
-        return MessageType::kContractUpdate;
-    }
-    if (message.type() == typeid(api::TuneEstimate)) {
-        return MessageType::kTuneEstimate;
-    }
-    if (message.type() == typeid(api::HealthProbe)) {
-        return MessageType::kHealthProbe;
-    }
-    if (message.type() == typeid(api::HealthResult)) {
-        return MessageType::kHealthResult;
-    }
-    if (message.type() == typeid(api::StatusRequest)) {
-        return MessageType::kStatusRequest;
-    }
-    if (message.type() == typeid(api::StatusResult)) {
-        return MessageType::kStatusResult;
-    }
-    throw WireError(std::string("unserializable payload type ") +
-                        message.type().name(),
-                    0);
+    return static_cast<MessageType>(message.index() + 1);
 }
 
 std::string
-EncodeBody(const std::any& message)
+EncodeBody(const Payload& message)
 {
     Archive ar;
-    switch (TypeOf(message)) {
-      case MessageType::kNone:
-        break;
-      case MessageType::kPowerReadRequest:
-        break;  // empty body
-      case MessageType::kPowerReadResult:
-        EncodePowerReadResult(ar,
-                              std::any_cast<const api::PowerReadResult&>(message));
-        break;
-      case MessageType::kCapRequest:
-        PutOptWatts(ar, std::any_cast<const api::CapRequest&>(message).limit);
-        break;
-      case MessageType::kCapResult:
-        PutStatus(ar, std::any_cast<const api::CapResult&>(message).status);
-        break;
-      case MessageType::kContractUpdate: {
-        const auto& m = std::any_cast<const api::ContractUpdate&>(message);
-        PutOptWatts(ar, m.limit);
-        ar.U64(m.span_id);
-        ar.U64(m.spec_epoch);
-        break;
-      }
-      case MessageType::kTuneEstimate:
-        ar.F64(std::any_cast<const api::TuneEstimate&>(message).reference_ratio);
-        break;
-      case MessageType::kHealthProbe:
-        break;  // empty body
-      case MessageType::kHealthResult:
-        PutStatus(ar, std::any_cast<const api::HealthResult&>(message).status);
-        break;
-      case MessageType::kStatusRequest:
-        break;  // empty body
-      case MessageType::kStatusResult:
-        EncodeStatusResult(ar, std::any_cast<const api::StatusResult&>(message));
-        break;
-    }
+    std::visit(
+        [&ar](const auto& m) {
+            using T = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<T, api::PowerReadResult>) {
+                EncodePowerReadResult(ar, m);
+            } else if constexpr (std::is_same_v<T, api::CapRequest>) {
+                PutOptWatts(ar, m.limit);
+            } else if constexpr (std::is_same_v<T, api::CapResult> ||
+                                 std::is_same_v<T, api::HealthResult>) {
+                PutStatus(ar, m.status);
+            } else if constexpr (std::is_same_v<T, api::ContractUpdate>) {
+                PutOptWatts(ar, m.limit);
+                ar.U64(m.span_id);
+                ar.U64(m.spec_epoch);
+            } else if constexpr (std::is_same_v<T, api::TuneEstimate>) {
+                ar.F64(m.reference_ratio);
+            } else if constexpr (std::is_same_v<T, api::StatusResult>) {
+                EncodeStatusResult(ar, m);
+            } else {
+                // PowerReadRequest, HealthProbe, StatusRequest: empty body.
+                static_assert(std::is_empty_v<T>);
+            }
+        },
+        message);
     return ar.bytes();
 }
 
-std::any
+Payload
 DecodeBody(MessageType type, std::string_view body)
 {
     ArchiveReader r(body);
-    std::any message;
+    Payload message;
     try {
         switch (type) {
           case MessageType::kNone:
-            break;
+            throw WireError("message type None has no body", 0);
           case MessageType::kPowerReadRequest:
             message = api::PowerReadRequest{};
             break;
@@ -257,7 +230,7 @@ DecodeBody(MessageType type, std::string_view body)
             m.limit = GetOptWatts(r);
             m.span_id = r.U64();
             m.spec_epoch = r.U64();
-            message = std::move(m);
+            message = m;
             break;
           }
           case MessageType::kTuneEstimate:

@@ -47,13 +47,13 @@ class AgentTest : public ::testing::Test
     {
         api::PowerReadResult out;
         bool done = false;
-        transport_.Call(
-            "agent:s0", api::PowerReadRequest{},
-            [&](const rpc::Payload& resp) {
-                out = std::any_cast<api::PowerReadResult>(resp);
-                done = true;
-            },
-            [&](const std::string& r) { FAIL() << r; });
+        transport_.Call("agent:s0", api::PowerReadRequest{},
+                        [&](const rpc::Reply& reply) {
+                            ASSERT_TRUE(reply.ok()) << reply.error();
+                            out = std::get<api::PowerReadResult>(
+                                reply.response());
+                            done = true;
+                        });
         sim_.RunFor(Seconds(1));
         EXPECT_TRUE(done);
         return out;
@@ -93,12 +93,12 @@ TEST_F(AgentTest, SetCapAppliesRaplLimit)
     sim_.RunFor(Seconds(10));
     const Watts before = server_.PowerAt(sim_.Now());
     bool acked = false;
-    transport_.Call(
-        "agent:s0", api::CapRequest{before - 40.0},
-        [&](const rpc::Payload& resp) {
-            acked = std::any_cast<api::CapResult>(resp).status.ok();
-        },
-        [](const std::string&) {});
+    transport_.Call("agent:s0", api::CapRequest{before - 40.0},
+                    [&](const rpc::Reply& reply) {
+                        if (!reply.ok()) return;
+                        acked = std::get<api::CapResult>(reply.response())
+                                    .status.ok();
+                    });
     sim_.RunFor(Seconds(5));
     EXPECT_TRUE(acked);
     EXPECT_TRUE(server_.capped());
@@ -110,13 +110,9 @@ TEST_F(AgentTest, UncapClearsLimit)
 {
     sim_.RunFor(Seconds(10));
     const Watts before = server_.PowerAt(sim_.Now());
-    transport_.Call(
-        "agent:s0", api::CapRequest{before - 40.0}, [](const rpc::Payload&) {},
-        [](const std::string&) {});
+    transport_.Call("agent:s0", api::CapRequest{before - 40.0}, {});
     sim_.RunFor(Seconds(5));
-    transport_.Call(
-        "agent:s0", api::CapRequest{std::nullopt}, [](const rpc::Payload&) {},
-        [](const std::string&) {});
+    transport_.Call("agent:s0", api::CapRequest{std::nullopt}, {});
     sim_.RunFor(Seconds(5));
     EXPECT_FALSE(server_.capped());
     EXPECT_NEAR(server_.PowerAt(sim_.Now()), before, 3.0);
@@ -126,9 +122,7 @@ TEST_F(AgentTest, UncapClearsLimit)
 TEST_F(AgentTest, CapStatusReflectedInReads)
 {
     sim_.RunFor(Seconds(10));
-    transport_.Call(
-        "agent:s0", api::CapRequest{150.0}, [](const rpc::Payload&) {},
-        [](const std::string&) {});
+    transport_.Call("agent:s0", api::CapRequest{150.0}, {});
     sim_.RunFor(Seconds(5));
     const api::PowerReadResult resp = ReadPower();
     EXPECT_TRUE(resp.capped);
@@ -138,13 +132,15 @@ TEST_F(AgentTest, CapStatusReflectedInReads)
 TEST_F(AgentTest, UnknownRequestIsNacked)
 {
     bool nacked = false;
-    transport_.Call(
-        "agent:s0", std::string("garbage"),
-        [&](const rpc::Payload& resp) {
-            const auto& r = std::any_cast<const api::CapResult&>(resp);
-            nacked = r.status.code == api::StatusCode::kUnimplemented;
-        },
-        [](const std::string&) {});
+    // A daemon status probe is an api message agents do not serve.
+    transport_.Call("agent:s0", api::StatusRequest{},
+                    [&](const rpc::Reply& reply) {
+                        if (!reply.ok()) return;
+                        const auto& r =
+                            std::get<api::CapResult>(reply.response());
+                        nacked =
+                            r.status.code == api::StatusCode::kUnimplemented;
+                    });
     sim_.RunFor(Seconds(1));
     EXPECT_TRUE(nacked);
 }
@@ -154,9 +150,11 @@ TEST_F(AgentTest, CrashStopsServingAndRestartResumes)
     agent_.Crash();
     EXPECT_FALSE(agent_.alive());
     bool failed = false;
-    transport_.Call(
-        "agent:s0", api::PowerReadRequest{}, [](const rpc::Payload&) { FAIL(); },
-        [&](const std::string&) { failed = true; });
+    transport_.Call("agent:s0", api::PowerReadRequest{},
+                    [&](const rpc::Reply& reply) {
+                        EXPECT_FALSE(reply.ok());
+                        failed = !reply.ok();
+                    });
     sim_.RunFor(Seconds(2));
     EXPECT_TRUE(failed);
 
@@ -180,14 +178,14 @@ TEST(AgentSensorless, SensorlessServerReportsEstimated)
     sim.RunFor(Seconds(10));
     bool estimated = false;
     Watts power = 0.0;
-    transport.Call(
-        "agent:s1", api::PowerReadRequest{},
-        [&](const rpc::Payload& resp) {
-            const auto r = std::any_cast<api::PowerReadResult>(resp);
-            estimated = r.estimated;
-            power = r.power;
-        },
-        [](const std::string&) {});
+    transport.Call("agent:s1", api::PowerReadRequest{},
+                   [&](const rpc::Reply& reply) {
+                       if (!reply.ok()) return;
+                       const auto& r =
+                           std::get<api::PowerReadResult>(reply.response());
+                       estimated = r.estimated;
+                       power = r.power;
+                   });
     sim.RunFor(Seconds(1));
     EXPECT_TRUE(estimated);
     const Watts truth = srv.PowerAt(sim.Now());

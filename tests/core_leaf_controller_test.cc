@@ -266,12 +266,12 @@ TEST(LeafController, ServesParentReadEndpoint)
     LeafRig rig(/*rated=*/10000.0, 4, 0);
     rig.sim.RunFor(Seconds(5));
     api::PowerReadResult read;
-    rig.transport.Call(
-        "ctl:rpp0", api::PowerReadRequest{},
-        [&](const rpc::Payload& resp) {
-            read = std::any_cast<api::PowerReadResult>(resp);
-        },
-        [](const std::string&) { FAIL(); });
+    rig.transport.Call("ctl:rpp0", api::PowerReadRequest{},
+                       [&](const rpc::Reply& reply) {
+                           ASSERT_TRUE(reply.ok());
+                           read = std::get<api::PowerReadResult>(
+                               reply.response());
+                       });
     rig.sim.RunFor(Seconds(1));
     EXPECT_TRUE(read.status.ok());
     EXPECT_EQ(read.source, "ctl:rpp0");

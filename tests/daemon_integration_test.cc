@@ -167,13 +167,12 @@ class DaemonFleet : public ::testing::Test
         bool done = false;
         client_.Call(
             endpoint + ".status", api::StatusRequest{},
-            [&](const rpc::Payload& response) {
-                if (const auto* r = std::any_cast<api::StatusResult>(&response)) {
+            [&](const rpc::Reply& reply) {
+                if (const auto* r = reply.get<api::StatusResult>()) {
                     result = *r;
                 }
                 done = true;
             },
-            [&](const std::string&) { done = true; },
             /*timeout_ms=*/1000);
         const auto deadline = Clock::now() + std::chrono::milliseconds(1500);
         while (!done && Clock::now() < deadline) client_.PollOnce(20);

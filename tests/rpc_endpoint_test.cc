@@ -41,10 +41,18 @@ TEST(EndpointTable, FindDoesNotIntern)
     EXPECT_EQ(table.Find("svc"), id);
 }
 
-struct Echo
+/** A test value carried in an api message (TuneEstimate's ratio). */
+Payload
+Echo(int value)
 {
-    int value;
-};
+    return api::TuneEstimate{static_cast<double>(value)};
+}
+
+int
+EchoValue(const Payload& message)
+{
+    return static_cast<int>(std::get<api::TuneEstimate>(message).reference_ratio);
+}
 
 TEST(TransportEndpoints, IdAndStringPathsAreTheSameEndpoint)
 {
@@ -52,24 +60,23 @@ TEST(TransportEndpoints, IdAndStringPathsAreTheSameEndpoint)
     SimTransport transport(sim, 42);
 
     const EndpointId id = transport.Resolve("svc");
-    transport.Register(id, [](const Payload& req) {
-        return Echo{std::any_cast<Echo>(req).value + 1};
-    });
+    transport.Register(id,
+                       [](const Payload& req) { return Echo(EchoValue(req) + 1); });
     EXPECT_TRUE(transport.IsRegistered("svc"));
     EXPECT_TRUE(transport.IsRegistered(id));
 
     // String-keyed call reaches the handler registered by id.
     int result = 0;
-    transport.Call(
-        "svc", Echo{1},
-        [&](const Payload& resp) { result = std::any_cast<Echo>(resp).value; },
-        [](const std::string&) { FAIL(); });
+    transport.Call("svc", Echo(1), [&](const Reply& reply) {
+        ASSERT_TRUE(reply.ok());
+        result = EchoValue(reply.response());
+    });
     // Id-keyed call likewise.
     int result2 = 0;
-    transport.Call(
-        id, Echo{10},
-        [&](const Payload& resp) { result2 = std::any_cast<Echo>(resp).value; },
-        [](const std::string&) { FAIL(); });
+    transport.Call(id, Echo(10), [&](const Reply& reply) {
+        ASSERT_TRUE(reply.ok());
+        result2 = EchoValue(reply.response());
+    });
     sim.RunUntil(1000);
     EXPECT_EQ(result, 2);
     EXPECT_EQ(result2, 11);

@@ -14,9 +14,10 @@
  */
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,9 +38,9 @@ api::Status FullStatus()
 
 /** One representative of every MessageType, with every field set to a
  *  non-default value so a dropped field can't round-trip by accident. */
-std::vector<std::any> SampleMessages()
+std::vector<Payload> SampleMessages()
 {
-    std::vector<std::any> messages;
+    std::vector<Payload> messages;
     messages.emplace_back(api::PowerReadRequest{});
 
     api::PowerReadResult read;
@@ -100,7 +101,7 @@ std::vector<std::any> SampleMessages()
 }
 
 /** Optional-field variants: empty optionals must round-trip too. */
-std::vector<std::any> EmptyOptionalMessages()
+std::vector<Payload> EmptyOptionalMessages()
 {
     api::PowerReadResult read;      // contract unset
     api::CapRequest uncap;          // limit unset = "lift the cap"
@@ -110,11 +111,11 @@ std::vector<std::any> EmptyOptionalMessages()
 
 TEST(WireBody, EncodeDecodeEncodeIsByteIdentical)
 {
-    for (const std::any& message : SampleMessages()) {
+    for (const Payload& message : SampleMessages()) {
         const MessageType type = TypeOf(message);
         SCOPED_TRACE(MessageTypeName(type));
         const std::string first = EncodeBody(message);
-        const std::any decoded = DecodeBody(type, first);
+        const Payload decoded = DecodeBody(type, first);
         EXPECT_EQ(TypeOf(decoded), type);
         const std::string second = EncodeBody(decoded);
         EXPECT_EQ(first, second);
@@ -123,16 +124,16 @@ TEST(WireBody, EncodeDecodeEncodeIsByteIdentical)
 
 TEST(WireBody, EmptyOptionalsRoundTrip)
 {
-    for (const std::any& message : EmptyOptionalMessages()) {
+    for (const Payload& message : EmptyOptionalMessages()) {
         const MessageType type = TypeOf(message);
         SCOPED_TRACE(MessageTypeName(type));
         const std::string first = EncodeBody(message);
         EXPECT_EQ(EncodeBody(DecodeBody(type, first)), first);
     }
     // Spot-check the semantics survived, not just the bytes.
-    const std::any uncap = DecodeBody(MessageType::kCapRequest,
-                                      EncodeBody(api::CapRequest{}));
-    EXPECT_FALSE(std::any_cast<api::CapRequest>(uncap).limit.has_value());
+    const Payload uncap = DecodeBody(MessageType::kCapRequest,
+                                     EncodeBody(api::CapRequest{}));
+    EXPECT_FALSE(std::get<api::CapRequest>(uncap).limit.has_value());
 }
 
 TEST(WireBody, DecodedFieldsMatch)
@@ -144,9 +145,9 @@ TEST(WireBody, DecodedFieldsMatch)
     read.capped = true;
     read.power_limit = 80.0;
     read.contract = 77.0;
-    const std::any out = DecodeBody(MessageType::kPowerReadResult,
-                                    EncodeBody(read));
-    const auto& r = std::any_cast<const api::PowerReadResult&>(out);
+    const Payload out = DecodeBody(MessageType::kPowerReadResult,
+                                   EncodeBody(read));
+    const auto& r = std::get<api::PowerReadResult>(out);
     EXPECT_EQ(r.status.code, api::StatusCode::kUnavailable);
     EXPECT_TRUE(r.status.retriable);
     EXPECT_EQ(r.status.detail, "last aggregation invalid");
@@ -160,14 +161,21 @@ TEST(WireBody, DecodedFieldsMatch)
 
 TEST(WireBody, NonApiPayloadRefused)
 {
-    EXPECT_THROW(TypeOf(std::any{std::string{"not an api struct"}}),
-                 WireError);
-    EXPECT_THROW(EncodeBody(std::any{42}), WireError);
+    // Payload is a closed variant over the api messages, so a non-api
+    // value cannot even be built into one: the refusal that used to
+    // happen in TypeOf / EncodeBody at run time is now a compile error.
+    static_assert(!std::is_constructible_v<Payload, std::string>);
+    static_assert(!std::is_constructible_v<Payload, int>);
+    // Every payload has a wire tag, in MessageType order.
+    EXPECT_EQ(TypeOf(Payload{}), MessageType::kPowerReadRequest);
+    EXPECT_EQ(TypeOf(api::StatusResult{}), MessageType::kStatusResult);
+    // The one tag without a message (error frames) decodes to nothing.
+    EXPECT_THROW(DecodeBody(MessageType::kNone, ""), WireError);
 }
 
 TEST(WireBody, TruncatedBodyThrows)
 {
-    const std::string body = EncodeBody(std::any{[] {
+    const std::string body = EncodeBody(Payload{[] {
         api::StatusResult s;
         s.endpoint = "ctl:sb0";
         s.health = "normal";
@@ -183,7 +191,7 @@ TEST(WireBody, TruncatedBodyThrows)
 
 TEST(WireBody, TrailingGarbageThrows)
 {
-    const std::string body = EncodeBody(std::any{api::HealthProbe{}});
+    const std::string body = EncodeBody(Payload{api::HealthProbe{}});
     EXPECT_THROW(DecodeBody(MessageType::kHealthProbe, body + "x"),
                  WireError);
 }
