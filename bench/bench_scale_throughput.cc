@@ -28,10 +28,13 @@
  *   bench_scale_throughput --mega-smoke         # 1M-server smoke
  *   bench_scale_throughput --threads 4 --scenario "grid-dr(hold_s=120)"
  *
- * --check is the CI perf smoke: it compares measured events/sec
- * against the committed baseline and exits non-zero on a >3x
- * regression (generous enough to absorb shared-runner noise, tight
- * enough to catch an accidental O(n log n) -> O(n^2) slip).
+ * --check is the CI perf smoke: it compares the measured sim-seconds
+ * per wall-second (realtime_ratio) against the committed baseline and
+ * exits non-zero on a >3x regression (generous enough to absorb
+ * shared-runner noise, tight enough to catch an accidental
+ * O(n log n) -> O(n^2) slip). It gates simulated time, not kernel
+ * events per second, because a change that needs fewer events for the
+ * same simulation is faster, not slower.
  *
  * --threads N runs the sharded parallel engine (fleet/sharding.h)
  * instead of the single-kernel fleet: one shard per SB subtree on an
@@ -699,17 +702,18 @@ ToJson(const std::vector<SuiteResult>& results)
 }
 
 /**
- * Pull one suite's events/sec out of a baseline BENCH_SCALE.json.
+ * Pull one suite's realtime_ratio out of a baseline BENCH_SCALE.json.
  * Hand-rolled scan (no JSON dependency): finds the `"servers": N`
- * entry, then the following `"events_per_sec"` value.
+ * entry, then the following `"realtime_ratio"` value.
  */
 bool
-BaselineThroughput(const std::string& json, std::size_t servers, double* out)
+BaselineRealtimeRatio(const std::string& json, std::size_t servers,
+                      double* out)
 {
     const std::string anchor = "\"servers\": " + std::to_string(servers);
     const std::size_t at = json.find(anchor);
     if (at == std::string::npos) return false;
-    const std::string key = "\"events_per_sec\": ";
+    const std::string key = "\"realtime_ratio\": ";
     const std::size_t kat = json.find(key, at);
     if (kat == std::string::npos) return false;
     *out = std::strtod(json.c_str() + kat + key.size(), nullptr);
@@ -1057,23 +1061,23 @@ main(int argc, char** argv)
         bool ok = true;
         for (const SuiteResult& r : results) {
             double want = 0.0;
-            if (!BaselineThroughput(baseline, r.servers, &want)) {
+            if (!BaselineRealtimeRatio(baseline, r.servers, &want)) {
                 std::fprintf(stderr,
                              "baseline has no %zu-server suite; skipping\n",
                              r.servers);
                 continue;
             }
             const double floor = want / 3.0;
-            if (r.events_per_sec < floor) {
+            if (r.realtime_ratio < floor) {
                 std::fprintf(stderr,
-                             "PERF REGRESSION: %zu servers ran at %.0f "
-                             "events/s, baseline %.0f (floor %.0f)\n",
-                             r.servers, r.events_per_sec, want, floor);
+                             "PERF REGRESSION: %zu servers ran at %.1fx "
+                             "real time, baseline %.1fx (floor %.1fx)\n",
+                             r.servers, r.realtime_ratio, want, floor);
                 ok = false;
             } else {
-                std::printf("perf check ok: %zu servers at %.0f events/s "
-                            "(baseline %.0f, floor %.0f)\n",
-                            r.servers, r.events_per_sec, want, floor);
+                std::printf("perf check ok: %zu servers at %.1fx real time "
+                            "(baseline %.1fx, floor %.1fx)\n",
+                            r.servers, r.realtime_ratio, want, floor);
             }
         }
         if (!ok) return 1;

@@ -13,12 +13,12 @@
  *     pointer-dependent ordering), so state equality can be decided by
  *     comparing bytes or 64-bit digests.
  *
- * `Archive` is the write side: an append-only byte sink that also
- * maintains a running FNV-1a digest, so callers can either keep the
- * full bytes (checkpoints, journals) or just the digest (cheap
- * divergence probes). `ArchiveReader` is the read side; it throws
- * `std::runtime_error` on truncated input rather than returning
- * garbage, because a corrupt journal must fail loudly.
+ * `Archive` is the write side: an append-only byte sink whose FNV-1a
+ * digest is computed on demand, so only the callers that read it
+ * (journal and checkpoint trailers) pay a pass over the bytes.
+ * `ArchiveReader` is the read side; it throws `std::runtime_error` on
+ * truncated input rather than returning garbage, because a corrupt
+ * journal must fail loudly.
  *
  * Layer note: this header lives in common/ so every layer (sim, rpc,
  * power, server, workload, core, fleet, telemetry) can implement a
@@ -33,6 +33,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace dynamo {
 
@@ -75,10 +76,17 @@ class HashAccumulator
     std::uint64_t h_ = kFnvOffset;
 };
 
-/** Append-only little-endian byte sink with a running FNV-1a digest. */
+/** Append-only little-endian byte sink. */
 class Archive
 {
   public:
+    Archive() = default;
+
+    /** Continue after `bytes`: later fields are appended to them (the
+     *  wire codec writes frames straight into a connection's buffer
+     *  this way). Hand them back with TakeBytes(). */
+    explicit Archive(std::string bytes) : bytes_(std::move(bytes)) {}
+
     void U8(std::uint8_t v) { Put(&v, 1); }
 
     void U32(std::uint32_t v)
@@ -110,38 +118,37 @@ class Archive
     }
 
     /**
-     * Append another archive's bytes verbatim (no length prefix),
-     * folding them into this archive's digest byte-for-byte. The
+     * Append another archive's bytes verbatim (no length prefix). The
      * result — bytes and digest — is identical to having written
      * `other`'s fields into this archive directly, which is what lets
      * per-shard snapshot archives be filled in parallel and then
      * merged in canonical shard order without changing the output.
      */
-    void Append(const Archive& other)
-    {
-        Put(other.bytes_.data(), other.bytes_.size());
-    }
+    void Append(const Archive& other) { bytes_ += other.bytes_; }
 
     const std::string& bytes() const { return bytes_; }
 
-    /** Digest of everything appended so far. */
-    std::uint64_t digest() const { return digest_; }
+    /** Move the bytes out, leaving the archive empty. */
+    std::string TakeBytes()
+    {
+        std::string bytes = std::move(bytes_);
+        bytes_.clear();
+        return bytes;
+    }
+
+    /** FNV-1a digest of everything appended so far (one pass over the
+     *  bytes per call). */
+    std::uint64_t digest() const { return Fnv1a64(bytes_); }
 
     std::size_t size() const { return bytes_.size(); }
 
   private:
     void Put(const void* data, std::size_t n)
     {
-        const auto* p = static_cast<const std::uint8_t*>(data);
-        bytes_.append(reinterpret_cast<const char*>(p), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            digest_ ^= p[i];
-            digest_ *= kFnvPrime;
-        }
+        bytes_.append(static_cast<const char*>(data), n);
     }
 
     std::string bytes_;
-    std::uint64_t digest_ = kFnvOffset;
 };
 
 /** Reader over Archive bytes; throws std::runtime_error on truncation. */
@@ -186,11 +193,14 @@ class ArchiveReader
 
     double F64() { return std::bit_cast<double>(U64()); }
 
-    std::string Str()
+    std::string Str() { return std::string(StrView()); }
+
+    /** Length-prefixed byte string, as a view into the input. */
+    std::string_view StrView()
     {
         const std::uint64_t n = U64();
         Need(n);
-        std::string s(bytes_.substr(pos_, n));
+        const std::string_view s = bytes_.substr(pos_, n);
         pos_ += n;
         return s;
     }

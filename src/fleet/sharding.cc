@@ -603,9 +603,9 @@ ShardedFleet::RecordCheckpoint(SimTime barrier_time)
 
     // Fill one private archive per shard on the worker pool, then fold
     // them into the master archive in canonical order (shards by
-    // index, control last). Archive::Append is byte- and digest-exact,
-    // so the checkpoint is identical to the old serial sweep — only
-    // the wall time is divided by the thread count.
+    // index, control last). Archive::Append is byte-exact, so the
+    // checkpoint is identical to the old serial sweep — only the wall
+    // time is divided by the thread count.
     const std::size_t n = shards_.size();
     std::vector<Archive> parts(n + 1);
     const sim::WorkerPool::StageFn fill = [&](std::size_t i) {
@@ -622,7 +622,7 @@ ShardedFleet::RecordCheckpoint(SimTime barrier_time)
     record.cycle = journal_.cycles.empty() ? 0 : journal_.cycles.size() - 1;
     record.time = barrier_time;
     record.digest = ar.digest();
-    record.state = ar.bytes();
+    record.state = ar.TakeBytes();
     journal_.checkpoints.push_back(std::move(record));
 }
 

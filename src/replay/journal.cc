@@ -158,7 +158,7 @@ EncodeJournal(const Journal& journal)
     // far. Capture before the U64 below folds the digest into itself.
     const std::uint64_t digest = ar.digest();
     ar.U64(digest);
-    return ar.bytes();
+    return ar.TakeBytes();
 }
 
 Journal

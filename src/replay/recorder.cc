@@ -85,7 +85,7 @@ Recorder::CloseWindow()
         cp.cycle = window_index_;
         cp.time = fleet_.sim().Now();
         cp.digest = state.digest();
-        cp.state = state.bytes();
+        cp.state = state.TakeBytes();
         journal_.checkpoints.push_back(std::move(cp));
     }
     ++window_index_;

@@ -14,7 +14,9 @@
 #define DYNAMO_RPC_ENDPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,8 +70,9 @@ class EndpointTable
         by_name_.erase(it);
     }
 
-    /** Id for `name`, or kInvalidEndpoint if never interned. */
-    EndpointId Find(const std::string& name) const
+    /** Id for `name`, or kInvalidEndpoint if never interned. Takes a
+     *  view, so a name parsed out of a wire frame needs no copy. */
+    EndpointId Find(std::string_view name) const
     {
         const auto it = by_name_.find(name);
         return it == by_name_.end() ? kInvalidEndpoint : it->second;
@@ -84,7 +87,19 @@ class EndpointTable
     std::size_t free_count() const { return free_ids_.size(); }
 
   private:
-    std::unordered_map<std::string, EndpointId> by_name_;
+    /** Hashes names and views alike, for lookups by view. */
+    struct NameHash
+    {
+        using is_transparent = void;
+
+        std::size_t operator()(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
+    std::unordered_map<std::string, EndpointId, NameHash, std::equal_to<>>
+        by_name_;
     std::vector<std::string> names_;
     std::vector<EndpointId> free_ids_;
 };

@@ -194,8 +194,7 @@ SocketTransport::Connection*
 SocketTransport::ConnectionFor(const SocketAddress& address)
 {
     for (Connection& conn : connections_) {
-        if (conn.fd >= 0 && !conn.inbound &&
-            conn.peer.ToString() == address.ToString()) {
+        if (conn.fd >= 0 && !conn.inbound && conn.peer == address) {
             return &conn;
         }
     }
@@ -233,11 +232,82 @@ SocketTransport::ConnectionFor(const SocketAddress& address)
     return &connections_.back();
 }
 
-void
-SocketTransport::QueueFrame(Connection& conn, const wire::Frame& frame)
+// ---------------------------------------------------------------------------
+// PendingTable
+// ---------------------------------------------------------------------------
+
+std::uint64_t
+SocketTransport::PendingTable::Add(Completion done, Deadline deadline)
 {
-    conn.write_buffer += wire::EncodeFrame(frame);
+    if (held_ == slots_.size()) {
+        // Full: re-lay the held calls from slot 0 into twice the room.
+        std::vector<Slot> grown(std::max<std::size_t>(16, 2 * slots_.size()));
+        for (std::size_t i = 0; i < held_; ++i) grown[i] = std::move(At(i));
+        slots_.swap(grown);
+        head_ = 0;
+    }
+    Slot& slot = At(held_);
+    slot.done = std::move(done);
+    slot.deadline = deadline;
+    slot.open = true;
+    ++held_;
+    ++open_;
+    earliest_ = std::min(earliest_, deadline);
+    return next_id_++;
 }
+
+bool
+SocketTransport::PendingTable::Close(std::uint64_t id, Completion* done)
+{
+    // Held calls carry ids next_id_ - held_ .. next_id_ - 1; an older
+    // id wraps to a huge offset and misses too.
+    const std::uint64_t offset = id - (next_id_ - held_);
+    if (offset >= held_) return false;
+    Slot& slot = At(static_cast<std::size_t>(offset));
+    if (!slot.open) return false;
+    *done = std::move(slot.done);
+    slot.open = false;
+    --open_;
+    DropClosedPrefix();
+    return true;
+}
+
+void
+SocketTransport::PendingTable::CloseDue(Deadline now, Finished::Outcome outcome,
+                                        std::vector<Finished>& done)
+{
+    if (open_ == 0 || now < earliest_) return;
+    Deadline earliest = Deadline::max();
+    for (std::size_t i = 0; i < held_; ++i) {
+        Slot& slot = At(i);
+        if (!slot.open) continue;
+        if (slot.deadline > now) {
+            earliest = std::min(earliest, slot.deadline);
+            continue;
+        }
+        Finished& finished = done.emplace_back();
+        finished.outcome = outcome;
+        finished.done = std::move(slot.done);
+        slot.open = false;
+        --open_;
+    }
+    earliest_ = earliest;
+    DropClosedPrefix();
+}
+
+void
+SocketTransport::PendingTable::DropClosedPrefix()
+{
+    while (held_ > 0 && !At(0).open) {
+        head_ = (head_ + 1) & (slots_.size() - 1);
+        --held_;
+    }
+    if (held_ == 0) earliest_ = Deadline::max();
+}
+
+// ---------------------------------------------------------------------------
+// Call issue
+// ---------------------------------------------------------------------------
 
 void
 SocketTransport::Call(EndpointId id, Payload request, Completion done,
@@ -265,21 +335,11 @@ SocketTransport::Call(EndpointId id, Payload request, Completion done,
         return;
     }
 
-    wire::Frame frame;
-    frame.kind = wire::FrameKind::kRequest;
-    frame.type = wire::TypeOf(request);
-    frame.epoch = options_.epoch;
-    frame.call_id = next_call_id_++;
-    frame.target = name;
-    frame.payload = wire::EncodeBody(request);
-    QueueFrame(*conn, frame);
-
-    PendingCall pending;
-    pending.call_id = frame.call_id;
-    pending.done = std::move(done);
-    pending.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
-    conn->pending.push_back(std::move(pending));
+    const std::uint64_t call_id = conn->pending.Add(
+        std::move(done), std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(timeout_ms));
+    wire::AppendFrame(conn->write_buffer, wire::FrameKind::kRequest,
+                      options_.epoch, call_id, name, &request);
 }
 
 std::size_t
@@ -302,14 +362,9 @@ SocketTransport::CallBatch(std::vector<BatchItem> batch)
             CountError();
             continue;
         }
-        wire::Frame frame;
-        frame.kind = wire::FrameKind::kRequest;
-        frame.type = wire::TypeOf(item.payload);
-        frame.epoch = options_.epoch;
-        frame.call_id = 0;  // fire-and-forget: peer skips the response
-        frame.target = name;
-        frame.payload = wire::EncodeBody(item.payload);
-        QueueFrame(*conn, frame);
+        // Call id 0 is fire-and-forget: the peer skips the response.
+        wire::AppendFrame(conn->write_buffer, wire::FrameKind::kRequest,
+                          options_.epoch, 0, name, &item.payload);
         // Best-effort delivery counts as ok at queue time; a torn
         // connection later cannot retroactively fail a forgotten call.
         CountOk();
@@ -321,26 +376,29 @@ std::size_t
 SocketTransport::pending_calls() const
 {
     std::size_t n = local_calls_.size();
-    for (const Connection& conn : connections_) n += conn.pending.size();
+    for (const Connection& conn : connections_) n += conn.pending.open();
     return n;
 }
 
-void
-SocketTransport::ServeRequest(Connection& conn, const wire::Frame& frame)
-{
-    wire::Frame reply;
-    reply.epoch = options_.epoch;
-    reply.call_id = frame.call_id;
+// ---------------------------------------------------------------------------
+// Inbound frames
+// ---------------------------------------------------------------------------
 
-    const EndpointId id = endpoints_.Find(frame.target);
-    const RequestHandler* handler =
-        id == kInvalidEndpoint ? nullptr : HandlerFor(id);
+void
+SocketTransport::ServeRequest(std::size_t index, const wire::FrameView& frame)
+{
+    const std::uint64_t call_id = frame.call_id;
+    auto reply_error = [&](std::string_view reason) {
+        if (call_id == 0) return;  // fire-and-forget, nothing to say
+        wire::AppendFrame(connections_[index].write_buffer,
+                          wire::FrameKind::kError, options_.epoch, call_id,
+                          reason, nullptr);
+    };
+
+    const RequestHandler* handler = HandlerFor(endpoints_.Find(frame.target));
     if (handler == nullptr) {
-        if (frame.call_id == 0) return;  // fire-and-forget, nothing to say
-        reply.kind = wire::FrameKind::kError;
-        reply.target = kConnectionFailed;  // same reason an unregistered
-                                           // SimTransport endpoint produces
-        QueueFrame(conn, reply);
+        // The same reason an unregistered SimTransport endpoint produces.
+        reply_error(kConnectionFailed);
         return;
     }
 
@@ -348,66 +406,44 @@ SocketTransport::ServeRequest(Connection& conn, const wire::Frame& frame)
     try {
         request = wire::DecodeBody(frame.type, frame.payload);
     } catch (const wire::WireError& e) {
-        if (frame.call_id == 0) return;
-        reply.kind = wire::FrameKind::kError;
-        reply.target = e.what();
-        QueueFrame(conn, reply);
+        reply_error(e.what());
         return;
     }
 
-    Payload response = (*handler)(request);
-    if (frame.call_id == 0) return;
-    try {
-        reply.kind = wire::FrameKind::kResponse;
-        reply.type = wire::TypeOf(response);
-        reply.payload = wire::EncodeBody(response);
-    } catch (const wire::WireError& e) {
-        reply.kind = wire::FrameKind::kError;
-        reply.target = e.what();
-        reply.type = wire::MessageType::kNone;
-        reply.payload.clear();
-    }
-    QueueFrame(conn, reply);
+    const Payload response = (*handler)(request);
+    if (call_id == 0) return;
+    wire::AppendFrame(connections_[index].write_buffer,
+                      wire::FrameKind::kResponse, options_.epoch, call_id, {},
+                      &response);
 }
 
 void
-SocketTransport::HandleReply(Connection& conn, const wire::Frame& frame,
+SocketTransport::HandleReply(Connection& conn, const wire::FrameView& frame,
                              std::vector<Finished>& done)
 {
-    const auto it = std::find_if(conn.pending.begin(), conn.pending.end(),
-                                 [&](const PendingCall& p) {
-                                     return p.call_id == frame.call_id;
-                                 });
-    if (it == conn.pending.end()) return;  // raced its own timeout; drop
-
-    Finished finished;
-    finished.done = std::move(it->done);
-    conn.pending.erase(it);
-
+    Completion completion;
+    if (!conn.pending.Close(frame.call_id, &completion)) {
+        return;  // raced its own timeout; drop
+    }
+    Finished& finished = done.emplace_back();
+    finished.done = std::move(completion);
     if (frame.kind == wire::FrameKind::kError) {
-        finished.ok = false;
-        finished.reason = frame.target.empty()
-                                ? std::string(kConnectionFailed)
-                                : frame.target;
-        finished.timed_out = false;
-        done.push_back(std::move(finished));
+        finished.reason = frame.target;
         return;
     }
     try {
         finished.response = wire::DecodeBody(frame.type, frame.payload);
-        finished.ok = true;
+        finished.outcome = Finished::Outcome::kOk;
     } catch (const wire::WireError&) {
-        finished.ok = false;
-        finished.reason = kConnectionFailed;
-        finished.timed_out = false;
+        // A body the wire cannot decode fails as kConnectionFailed.
     }
-    done.push_back(std::move(finished));
 }
 
 bool
-SocketTransport::ReadAndDispatch(Connection& conn,
+SocketTransport::ReadAndDispatch(std::size_t index,
                                  std::vector<Finished>& done)
 {
+    Connection& conn = connections_[index];
     char buffer[65536];
     for (;;) {
         const ssize_t n = ::read(conn.fd, buffer, sizeof buffer);
@@ -425,17 +461,22 @@ SocketTransport::ReadAndDispatch(Connection& conn,
         if (errno == EINTR) continue;
         return false;  // reset or other hard error
     }
-    while (conn.reader.HasFrame()) {
-        wire::Frame frame;
+    // A handler may dial a connection, which moves connections_, so the
+    // connection is indexed afresh per frame. The frames themselves view
+    // the reader's buffer, which only Feed (above) changes.
+    for (;;) {
+        wire::FrameReader& reader = connections_[index].reader;
+        if (!reader.HasFrame()) break;
+        wire::FrameView frame;
         try {
-            frame = conn.reader.Next();
+            frame = reader.NextView();
         } catch (const wire::WireError&) {
             return false;
         }
         if (frame.kind == wire::FrameKind::kRequest) {
-            ServeRequest(conn, frame);
+            ServeRequest(index, frame);
         } else {
-            HandleReply(conn, frame, done);
+            HandleReply(connections_[index], frame, done);
         }
     }
     return true;
@@ -448,33 +489,30 @@ SocketTransport::FailConnection(std::size_t index,
     Connection& conn = connections_[index];
     if (conn.fd >= 0) ::close(conn.fd);
     conn.fd = -1;
-    for (PendingCall& pending : conn.pending) {
-        Finished finished;
-        finished.ok = false;
-        finished.reason = kConnectionFailed;
-        finished.timed_out = false;
-        finished.done = std::move(pending.done);
-        done.push_back(std::move(finished));
-    }
-    conn.pending.clear();
+    conn.pending.CloseDue(Deadline::max(), Finished::Outcome::kError, done);
 }
 
 std::size_t
 SocketTransport::FireCompletions(std::vector<Finished>& done)
 {
     for (Finished& finished : done) {
-        if (finished.ok) {
+        switch (finished.outcome) {
+          case Finished::Outcome::kOk:
             CountOk();
             if (finished.done) finished.done(Reply(finished.response));
-        } else {
-            if (finished.timed_out) {
-                CountTimeout();
-            } else {
-                CountError();
-            }
+            break;
+          case Finished::Outcome::kError:
+            CountError();
             if (finished.done) {
-                finished.done(Reply(std::string_view(finished.reason)));
+                finished.done(Reply(finished.reason.empty()
+                                        ? kConnectionFailed
+                                        : std::string_view(finished.reason)));
             }
+            break;
+          case Finished::Outcome::kTimeout:
+            CountTimeout();
+            if (finished.done) finished.done(Reply(kTimeout));
+            break;
         }
     }
     const std::size_t n = done.size();
@@ -486,6 +524,11 @@ std::size_t
 SocketTransport::PollOnce(int budget_ms)
 {
     std::vector<Finished> done;
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> conn_of_fd;
+    done.swap(done_);
+    fds.swap(fds_);
+    conn_of_fd.swap(conn_of_fd_);
 
     // 1. Loopback calls queued since the last pass.
     std::size_t dispatched = 0;
@@ -493,26 +536,15 @@ SocketTransport::PollOnce(int budget_ms)
         LocalCall call = std::move(local_calls_.front());
         local_calls_.pop_front();
         ++dispatched;
-        if (call.target == kInvalidEndpoint) {
-            // Unroutable Call captured for prompt failure.
-            Finished finished;
-            finished.ok = false;
-            finished.reason = kConnectionFailed;
-            finished.done = std::move(call.done);
-            done.push_back(std::move(finished));
-            continue;
-        }
+        // An unroutable Call (target kInvalidEndpoint, captured for
+        // prompt failure) finds no handler either.
         const RequestHandler* handler = HandlerFor(call.target);
         if (handler == nullptr) {
             if (call.fire_and_forget) {
                 CountError();
                 continue;
             }
-            Finished finished;
-            finished.ok = false;
-            finished.reason = kConnectionFailed;
-            finished.done = std::move(call.done);
-            done.push_back(std::move(finished));
+            done.emplace_back().done = std::move(call.done);  // kError
             continue;
         }
         Payload response = (*handler)(call.request);
@@ -520,16 +552,15 @@ SocketTransport::PollOnce(int budget_ms)
             CountOk();
             continue;
         }
-        Finished finished;
-        finished.ok = true;
+        Finished& finished = done.emplace_back();
+        finished.outcome = Finished::Outcome::kOk;
         finished.response = std::move(response);
         finished.done = std::move(call.done);
-        done.push_back(std::move(finished));
     }
 
     // 2. Build the poll set.
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> conn_of_fd;  // parallel: index into connections_
+    fds.clear();
+    conn_of_fd.clear();
     if (listen_fd_ >= 0) {
         fds.push_back(pollfd{listen_fd_, POLLIN, 0});
         conn_of_fd.push_back(static_cast<std::size_t>(-1));
@@ -549,7 +580,7 @@ SocketTransport::PollOnce(int budget_ms)
     const auto now = std::chrono::steady_clock::now();
     for (const Connection& conn : connections_) {
         if (conn.fd < 0) continue;
-        auto consider = [&](std::chrono::steady_clock::time_point deadline) {
+        auto consider = [&](Deadline deadline) {
             const auto delta =
                 std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                       now)
@@ -560,9 +591,7 @@ SocketTransport::PollOnce(int budget_ms)
             timeout_ms = std::min(timeout_ms, clamped);
         };
         if (conn.connecting) consider(conn.connect_deadline);
-        for (const PendingCall& pending : conn.pending) {
-            consider(pending.deadline);
-        }
+        if (conn.pending.open() > 0) consider(conn.pending.earliest());
     }
 
     const int rc = ::poll(fds.data(), fds.size(),
@@ -587,23 +616,24 @@ SocketTransport::PollOnce(int budget_ms)
     }
 
     // 5. Service every ready connection. connections_ may have grown
-    // via accept (those fds are not in this poll set yet — next pass).
+    // via accept (those fds are not in this poll set yet — next pass)
+    // or via a handler's call, so it is indexed afresh after each step.
     for (std::size_t pi = 0; pi < fds.size(); ++pi) {
         const std::size_t ci = conn_of_fd[pi];
         if (ci == static_cast<std::size_t>(-1)) continue;
-        Connection& conn = connections_[ci];
-        if (conn.fd < 0) continue;
+        if (connections_[ci].fd < 0) continue;
 
-        if (conn.connecting && (fds[pi].revents & (POLLOUT | POLLERR | POLLHUP))
-                                   != 0) {
+        if (connections_[ci].connecting &&
+            (fds[pi].revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
             int err = 0;
             socklen_t err_len = sizeof err;
-            ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
+            ::getsockopt(connections_[ci].fd, SOL_SOCKET, SO_ERROR, &err,
+                         &err_len);
             if (err != 0) {
                 FailConnection(ci, done);
                 continue;
             }
-            conn.connecting = false;
+            connections_[ci].connecting = false;
         }
 
         if ((fds[pi].revents & (POLLERR | POLLHUP)) != 0 &&
@@ -613,16 +643,19 @@ SocketTransport::PollOnce(int budget_ms)
         }
 
         if ((fds[pi].revents & POLLIN) != 0) {
-            if (!ReadAndDispatch(conn, done)) {
+            if (!ReadAndDispatch(ci, done)) {
                 FailConnection(ci, done);
                 continue;
             }
         }
 
+        Connection& conn = connections_[ci];
         if (!conn.connecting && !conn.write_buffer.empty() &&
             (fds[pi].revents & POLLOUT) != 0) {
-            const ssize_t n = ::write(conn.fd, conn.write_buffer.data(),
-                                      conn.write_buffer.size());
+            // MSG_NOSIGNAL: a peer that died since the poll fails the
+            // connection below instead of raising SIGPIPE.
+            const ssize_t n = ::send(conn.fd, conn.write_buffer.data(),
+                                     conn.write_buffer.size(), MSG_NOSIGNAL);
             if (n > 0) {
                 conn.write_buffer.erase(0, static_cast<std::size_t>(n));
             } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
@@ -642,33 +675,24 @@ SocketTransport::PollOnce(int budget_ms)
             FailConnection(i, done);
             continue;
         }
-        for (std::size_t p = 0; p < conn.pending.size();) {
-            if (after >= conn.pending[p].deadline) {
-                Finished finished;
-                finished.ok = false;
-                finished.reason = kTimeout;
-                finished.timed_out = true;
-                finished.done = std::move(conn.pending[p].done);
-                done.push_back(std::move(finished));
-                conn.pending.erase(conn.pending.begin() +
-                                   static_cast<std::ptrdiff_t>(p));
-            } else {
-                ++p;
-            }
-        }
+        conn.pending.CloseDue(after, Finished::Outcome::kTimeout, done);
     }
 
     // 7. Sweep closed connections (safe now: no iteration in flight).
     connections_.erase(
         std::remove_if(connections_.begin(), connections_.end(),
                        [](const Connection& conn) {
-                           return conn.fd < 0 && conn.pending.empty();
+                           return conn.fd < 0 && conn.pending.open() == 0;
                        }),
         connections_.end());
+    fds_.swap(fds);
+    conn_of_fd_.swap(conn_of_fd);
 
     // 8. Fire captured completions last, so callbacks (which may issue
     // new Calls) see a consistent transport.
-    return dispatched + FireCompletions(done);
+    const std::size_t fired = FireCompletions(done);
+    done_.swap(done);
+    return dispatched + fired;
 }
 
 }  // namespace dynamo::rpc

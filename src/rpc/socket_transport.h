@@ -19,6 +19,11 @@
  *   - **Connections**: one multiplexed, lazily-dialed, nonblocking
  *     connection per peer address, carrying wire::Frame streams in
  *     both directions; call_ids pair responses with requests.
+ *     Outbound frames are encoded in place into the connection's
+ *     write buffer, inbound ones are parsed as views into its reader,
+ *     and open calls sit in a per-connection table in issue order, so
+ *     a call costs constant work and, once the buffers are warm, no
+ *     heap allocation.
  *   - **Event loop**: the owner pumps `PollOnce(budget_ms)` — a single
  *     poll(2) pass over the listener and every connection. All
  *     callbacks (handlers and call completions) fire from inside
@@ -46,6 +51,8 @@
 #include <string>
 #include <vector>
 
+#include <poll.h>
+
 #include "rpc/transport.h"
 #include "rpc/wire.h"
 
@@ -71,10 +78,7 @@ struct SocketAddress
     /** Canonical text form (inverse of Parse). */
     std::string ToString() const;
 
-    bool operator<(const SocketAddress& o) const
-    {
-        return ToString() < o.ToString();
-    }
+    bool operator==(const SocketAddress& o) const = default;
 };
 
 class SocketTransport final : public Transport
@@ -139,11 +143,75 @@ class SocketTransport final : public Transport
     void set_epoch(std::uint64_t epoch) { options_.epoch = epoch; }
 
   private:
-    struct PendingCall
+    using Deadline = std::chrono::steady_clock::time_point;
+
+    /** A call outcome captured during a poll pass; fired at the end
+     *  of the pass so callbacks never mutate the fd set mid-iteration. */
+    struct Finished
     {
-        std::uint64_t call_id = 0;
+        enum class Outcome : std::uint8_t { kOk, kError, kTimeout };
+
+        Outcome outcome = Outcome::kError;
+        Payload response;    // kOk
+        std::string reason;  // kError: the peer's reason; empty means
+                             // kConnectionFailed
         Completion done;
-        std::chrono::steady_clock::time_point deadline;
+    };
+
+    /**
+     * One connection's calls, in issue order. The table assigns call
+     * ids, consecutive from 1, so a reply finds its call by offset from
+     * the oldest id held. A reply or timeout closes its call in place;
+     * once every older call is closed too, the head moves past the
+     * whole closed prefix. Slots form a ring, so no call is shifted
+     * while the table holds it.
+     */
+    class PendingTable
+    {
+      public:
+        /** Open a call; returns its id. */
+        std::uint64_t Add(Completion done, Deadline deadline);
+
+        /** Close the open call `id`, moving its completion into
+         *  `*done`. False when `id` is unknown or closed already (a
+         *  reply that raced its own timeout). */
+        bool Close(std::uint64_t id, Completion* done);
+
+        /** Close every open call whose deadline is at or before `now`,
+         *  in issue order, appending one `outcome` to `done` per call. */
+        void CloseDue(Deadline now, Finished::Outcome outcome,
+                      std::vector<Finished>& done);
+
+        /** Calls issued and not yet closed. */
+        std::size_t open() const { return open_; }
+
+        /** No open call is due before this (a lower bound: calls that
+         *  closed early may still hold it down until CloseDue). */
+        Deadline earliest() const { return earliest_; }
+
+      private:
+        struct Slot
+        {
+            Completion done;
+            Deadline deadline;
+            bool open = false;
+        };
+
+        /** The i-th held call, oldest first. */
+        Slot& At(std::size_t i)
+        {
+            return slots_[(head_ + i) & (slots_.size() - 1)];
+        }
+
+        /** Advance the head past closed calls. */
+        void DropClosedPrefix();
+
+        std::vector<Slot> slots_;  // size 0 or a power of two
+        std::size_t head_ = 0;     // slot of the oldest held call
+        std::size_t held_ = 0;     // calls from head on, open or closed
+        std::size_t open_ = 0;
+        std::uint64_t next_id_ = 1;
+        Deadline earliest_ = Deadline::max();
     };
 
     struct Connection
@@ -153,37 +221,30 @@ class SocketTransport final : public Transport
         bool inbound = false;      // accepted, not dialed
         SocketAddress peer;        // dial target (outbound only)
         wire::FrameReader reader;
-        std::string write_buffer;
-        std::vector<PendingCall> pending;
-        std::chrono::steady_clock::time_point connect_deadline;
-    };
-
-    /** A call outcome captured during a poll pass; fired at the end
-     *  of the pass so callbacks never mutate the fd set mid-iteration. */
-    struct Finished
-    {
-        bool ok = false;
-        Payload response;          // ok
-        std::string reason;        // !ok: "connection failed" / "timeout"
-        bool timed_out = false;    // !ok: counts rpc.timeouts vs rpc.errors
-        Completion done;
+        std::string write_buffer;  // frames are encoded straight into it
+        PendingTable pending;
+        Deadline connect_deadline;
     };
 
     /** Find or dial the connection for a peer address. */
     Connection* ConnectionFor(const SocketAddress& address);
 
-    /** Queue an encoded frame on a connection. */
-    void QueueFrame(Connection& conn, const wire::Frame& frame);
+    /** Drain readable bytes of connections_[index]; dispatch complete
+     *  frames. Returns false when the connection died (caller must
+     *  FailConnection). */
+    bool ReadAndDispatch(std::size_t index, std::vector<Finished>& done);
 
-    /** Drain readable bytes; dispatch complete frames. Returns false
-     *  when the connection died (caller must FailConnection). */
-    bool ReadAndDispatch(Connection& conn, std::vector<Finished>& done);
-
-    /** Serve one inbound request frame (invoke handler, queue reply). */
-    void ServeRequest(Connection& conn, const wire::Frame& frame);
+    /**
+     * Serve one inbound request frame on connections_[index]: decode
+     * the body, run the handler, queue the reply. The views in `frame`
+     * are not touched once the handler runs, and the connection is
+     * looked up again afterwards, since a handler may issue calls
+     * that dial (and so move) connections.
+     */
+    void ServeRequest(std::size_t index, const wire::FrameView& frame);
 
     /** Complete one pending call from a response/error frame. */
-    void HandleReply(Connection& conn, const wire::Frame& frame,
+    void HandleReply(Connection& conn, const wire::FrameView& frame,
                      std::vector<Finished>& done);
 
     /** Fail every pending call on a dead connection and drop it. */
@@ -201,7 +262,13 @@ class SocketTransport final : public Transport
     std::map<std::string, SocketAddress> routes_;
 
     std::vector<Connection> connections_;
-    std::uint64_t next_call_id_ = 1;
+
+    /** PollOnce's scratch, kept for its capacity. A pass swaps each
+     *  into a local, so a completion that re-enters the transport
+     *  works on vectors of its own. */
+    std::vector<Finished> done_;
+    std::vector<pollfd> fds_;
+    std::vector<std::size_t> conn_of_fd_;  // parallel: index into connections_
 
     /** Calls to locally registered endpoints, served next PollOnce. */
     struct LocalCall

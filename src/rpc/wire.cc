@@ -131,6 +131,87 @@ api::StatusResult DecodeStatusResult(ArchiveReader& r)
     return m;
 }
 
+// --- body and frame encoders ----------------------------------------------
+
+void
+PutBody(Archive& ar, const Payload& message)
+{
+    std::visit(
+        [&ar](const auto& m) {
+            using T = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<T, api::PowerReadResult>) {
+                EncodePowerReadResult(ar, m);
+            } else if constexpr (std::is_same_v<T, api::CapRequest>) {
+                PutOptWatts(ar, m.limit);
+            } else if constexpr (std::is_same_v<T, api::CapResult> ||
+                                 std::is_same_v<T, api::HealthResult>) {
+                PutStatus(ar, m.status);
+            } else if constexpr (std::is_same_v<T, api::ContractUpdate>) {
+                PutOptWatts(ar, m.limit);
+                ar.U64(m.span_id);
+                ar.U64(m.spec_epoch);
+            } else if constexpr (std::is_same_v<T, api::TuneEstimate>) {
+                ar.F64(m.reference_ratio);
+            } else if constexpr (std::is_same_v<T, api::StatusResult>) {
+                EncodeStatusResult(ar, m);
+            } else {
+                // PowerReadRequest, HealthProbe, StatusRequest: empty body.
+                static_assert(std::is_empty_v<T>);
+            }
+        },
+        message);
+}
+
+/** The fixed header and the target section of a frame. */
+void
+PutHeader(Archive& ar, FrameKind kind, MessageType type, std::uint64_t epoch,
+          std::uint64_t call_id, std::string_view target)
+{
+    ar.U32(kWireMagic);
+    ar.U32(0);  // frame_len, patched by SealFrame
+    ar.U32(kWireVersion);
+    ar.U8(static_cast<std::uint8_t>(type));
+    ar.U8(static_cast<std::uint8_t>(kind));
+    ar.U64(epoch);
+    ar.U64(call_id);
+    ar.Str(target);
+}
+
+/** Overwrite the `n` bytes at `at` with `v`, little-endian. */
+void
+PatchLe(std::string& bytes, std::size_t at, std::uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+    }
+}
+
+/** Patch frame_len of the frame that runs from `start` to the end of
+ *  `out`, then append the digest. */
+void
+SealFrame(std::string& out, std::size_t start)
+{
+    PatchLe(out, start + 4, out.size() - start + 8, 4);
+    // The digest covers everything before it, length field included.
+    const std::uint64_t digest =
+        Fnv1a64(std::string_view(out).substr(start));
+    out.resize(out.size() + 8);
+    PatchLe(out, out.size() - 8, digest, 8);
+}
+
+Frame
+ToFrame(const FrameView& view)
+{
+    Frame frame;
+    frame.kind = view.kind;
+    frame.type = view.type;
+    frame.epoch = view.epoch;
+    frame.call_id = view.call_id;
+    frame.target = view.target;
+    frame.payload = view.payload;
+    return frame;
+}
+
 }  // namespace
 
 const char*
@@ -177,31 +258,8 @@ std::string
 EncodeBody(const Payload& message)
 {
     Archive ar;
-    std::visit(
-        [&ar](const auto& m) {
-            using T = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<T, api::PowerReadResult>) {
-                EncodePowerReadResult(ar, m);
-            } else if constexpr (std::is_same_v<T, api::CapRequest>) {
-                PutOptWatts(ar, m.limit);
-            } else if constexpr (std::is_same_v<T, api::CapResult> ||
-                                 std::is_same_v<T, api::HealthResult>) {
-                PutStatus(ar, m.status);
-            } else if constexpr (std::is_same_v<T, api::ContractUpdate>) {
-                PutOptWatts(ar, m.limit);
-                ar.U64(m.span_id);
-                ar.U64(m.spec_epoch);
-            } else if constexpr (std::is_same_v<T, api::TuneEstimate>) {
-                ar.F64(m.reference_ratio);
-            } else if constexpr (std::is_same_v<T, api::StatusResult>) {
-                EncodeStatusResult(ar, m);
-            } else {
-                // PowerReadRequest, HealthProbe, StatusRequest: empty body.
-                static_assert(std::is_empty_v<T>);
-            }
-        },
-        message);
-    return ar.bytes();
+    PutBody(ar, message);
+    return ar.TakeBytes();
 }
 
 Payload
@@ -269,35 +327,41 @@ DecodeBody(MessageType type, std::string_view body)
 std::string
 EncodeFrame(const Frame& frame)
 {
-    // Header + variable sections first; the length field at offset 4
-    // is patched once the total (body + 8-byte digest) is known.
     Archive ar;
-    ar.U32(kWireMagic);
-    ar.U32(0);  // frame_len placeholder
-    ar.U32(kWireVersion);
-    ar.U8(static_cast<std::uint8_t>(frame.type));
-    ar.U8(static_cast<std::uint8_t>(frame.kind));
-    ar.U64(frame.epoch);
-    ar.U64(frame.call_id);
-    ar.Str(frame.target);
+    PutHeader(ar, frame.kind, frame.type, frame.epoch, frame.call_id,
+              frame.target);
     ar.Str(frame.payload);
-
-    std::string bytes = ar.bytes();
-    const std::uint32_t total = static_cast<std::uint32_t>(bytes.size() + 8);
-    for (int i = 0; i < 4; ++i) {
-        bytes[4 + i] = static_cast<char>((total >> (8 * i)) & 0xffu);
-    }
-
-    // Digest covers everything before it, length field included.
-    const std::uint64_t digest = Fnv1a64(bytes);
-    for (int i = 0; i < 8; ++i) {
-        bytes.push_back(static_cast<char>((digest >> (8 * i)) & 0xffu));
-    }
+    std::string bytes = ar.TakeBytes();
+    SealFrame(bytes, 0);
     return bytes;
 }
 
-Frame
-DecodeFrame(std::string_view bytes)
+void
+AppendFrame(std::string& out, FrameKind kind, std::uint64_t epoch,
+            std::uint64_t call_id, std::string_view target,
+            const Payload* body)
+{
+    const std::size_t start = out.size();
+    Archive ar(std::move(out));
+    try {
+        PutHeader(ar, kind, body == nullptr ? MessageType::kNone : TypeOf(*body),
+                  epoch, call_id, target);
+        const std::size_t body_at = ar.size();
+        ar.U64(0);  // body length, patched once the body is written
+        if (body != nullptr) PutBody(ar, *body);
+        out = ar.TakeBytes();
+        PatchLe(out, body_at, out.size() - body_at - 8, 8);
+    } catch (...) {
+        // Only allocation can fail; keep the frames queued before.
+        out = ar.TakeBytes();
+        out.resize(start);
+        throw;
+    }
+    SealFrame(out, start);
+}
+
+FrameView
+ParseFrame(std::string_view bytes)
 {
     if (bytes.size() < kFrameFixedHeaderBytes + 8) {
         throw WireError("frame truncated: " + std::to_string(bytes.size()) +
@@ -319,7 +383,7 @@ DecodeFrame(std::string_view bytes)
     }
 
     ArchiveReader r(bytes);
-    Frame frame;
+    FrameView frame;
     const std::uint32_t magic = r.U32();
     if (magic != kWireMagic) {
         throw WireError("bad magic", 0);
@@ -352,8 +416,8 @@ DecodeFrame(std::string_view bytes)
     frame.epoch = r.U64();
     frame.call_id = r.U64();
     try {
-        frame.target = r.Str();
-        frame.payload = r.Str();
+        frame.target = r.StrView();
+        frame.payload = r.StrView();
     } catch (const std::runtime_error& e) {
         throw WireError(std::string("frame sections truncated: ") + e.what(),
                         r.pos());
@@ -367,6 +431,12 @@ DecodeFrame(std::string_view bytes)
     return frame;
 }
 
+Frame
+DecodeFrame(std::string_view bytes)
+{
+    return ToFrame(ParseFrame(bytes));
+}
+
 void
 FrameReader::Feed(std::string_view bytes)
 {
@@ -374,15 +444,25 @@ FrameReader::Feed(std::string_view bytes)
         throw WireError("stream poisoned by an earlier framing error",
                         consumed_);
     }
+    // Drop what Next/NextView consumed since the last Feed: the unread
+    // tail moves once per Feed, not once per frame.
+    buffer_.erase(0, head_);
+    head_ = 0;
     buffer_.append(bytes.data(), bytes.size());
     CheckHeader();
+}
+
+std::string_view
+FrameReader::Unread() const
+{
+    return std::string_view(buffer_).substr(head_);
 }
 
 void
 FrameReader::CheckHeader()
 {
-    if (buffer_.size() < 8) return;
-    ArchiveReader r(buffer_);
+    if (Unread().size() < 8) return;
+    ArchiveReader r(Unread());
     const std::uint32_t magic = r.U32();
     if (magic != kWireMagic) {
         poisoned_ = true;
@@ -403,34 +483,38 @@ FrameReader::CheckHeader()
 bool
 FrameReader::HasFrame() const
 {
-    if (poisoned_ || buffer_.size() < 8) return false;
-    ArchiveReader r(buffer_);
+    if (poisoned_ || Unread().size() < 8) return false;
+    ArchiveReader r(Unread());
     r.U32();  // magic, validated by CheckHeader
-    return buffer_.size() >= r.U32();
+    return Unread().size() >= r.U32();
+}
+
+FrameView
+FrameReader::NextView()
+{
+    if (!HasFrame()) {
+        throw WireError("Next() without a complete frame", consumed_);
+    }
+    ArchiveReader r(Unread());
+    r.U32();
+    const std::uint32_t frame_len = r.U32();
+    FrameView frame;
+    try {
+        frame = ParseFrame(Unread().substr(0, frame_len));
+    } catch (const WireError&) {
+        poisoned_ = true;
+        throw;
+    }
+    head_ += frame_len;
+    consumed_ += frame_len;
+    if (head_ < buffer_.size()) CheckHeader();
+    return frame;
 }
 
 Frame
 FrameReader::Next()
 {
-    if (!HasFrame()) {
-        throw WireError("Next() without a complete frame", consumed_);
-    }
-    ArchiveReader r(buffer_);
-    r.U32();
-    const std::uint32_t frame_len = r.U32();
-    const std::string_view frame_bytes =
-        std::string_view(buffer_).substr(0, frame_len);
-    Frame frame;
-    try {
-        frame = DecodeFrame(frame_bytes);
-    } catch (const WireError&) {
-        poisoned_ = true;
-        throw;
-    }
-    buffer_.erase(0, frame_len);
-    consumed_ += frame_len;
-    if (!buffer_.empty()) CheckHeader();
-    return frame;
+    return ToFrame(NextView());
 }
 
 }  // namespace dynamo::rpc::wire

@@ -37,6 +37,12 @@
  * FrameReader needs only the first 8 bytes to know how much to wait
  * for, and a length exceeding kMaxFrameBytes (or a bad magic) marks
  * the connection poisoned rather than waiting forever on garbage.
+ *
+ * The socket path works in place: AppendFrame writes a frame straight
+ * into a connection's write buffer, and ParseFrame / FrameReader::
+ * NextView parse an inbound frame as views into the reader's buffer,
+ * so only the decoded body is ever copied out. EncodeBody,
+ * EncodeFrame and DecodeFrame are the owning forms of the same codec.
  */
 #ifndef DYNAMO_RPC_WIRE_H_
 #define DYNAMO_RPC_WIRE_H_
@@ -136,6 +142,21 @@ struct Frame
     std::string payload;
 };
 
+/**
+ * One frame parsed in place: the fields of Frame, with `target` and
+ * `payload` viewing the bytes the frame was parsed from. A view is
+ * valid only as long as those bytes are.
+ */
+struct FrameView
+{
+    FrameKind kind = FrameKind::kRequest;
+    MessageType type = MessageType::kNone;
+    std::uint64_t epoch = 0;
+    std::uint64_t call_id = 0;
+    std::string_view target;
+    std::string_view payload;
+};
+
 // ---------------------------------------------------------------------------
 // Message body codec
 // ---------------------------------------------------------------------------
@@ -165,11 +186,26 @@ Payload DecodeBody(MessageType type, std::string_view body);
 std::string EncodeFrame(const Frame& frame);
 
 /**
- * Decode exactly one complete frame from `bytes` (which must be
+ * Append one frame to `out`, encoding `body` in place: the bytes equal
+ * `EncodeFrame` of a Frame whose type is `TypeOf(*body)` and whose
+ * payload is `EncodeBody(*body)`. A null `body` writes a kNone frame
+ * with an empty payload (error frames). Reuses `out`'s capacity, so a
+ * warm buffer takes a frame without allocating.
+ */
+void AppendFrame(std::string& out, FrameKind kind, std::uint64_t epoch,
+                 std::uint64_t call_id, std::string_view target,
+                 const Payload* body);
+
+/**
+ * Parse exactly one complete frame from `bytes` (which must be
  * exactly one frame, as cut by FrameReader). Verifies magic, version,
  * length consistency, enum ranges, and the trailing digest; throws
- * WireError naming the first check that failed and the offset.
+ * WireError naming the first check that failed and the offset. The
+ * result views `bytes`.
  */
+FrameView ParseFrame(std::string_view bytes);
+
+/** ParseFrame, copying `target` and `payload` out of `bytes`. */
 Frame DecodeFrame(std::string_view bytes);
 
 /**
@@ -180,20 +216,30 @@ Frame DecodeFrame(std::string_view bytes);
  * bytes of a frame are buffered, so a poisoned stream (bad magic,
  * absurd length) is detected without waiting for more bytes; after a
  * throw the reader is permanently poisoned and the connection must be
- * dropped (stream sync cannot be re-established mid-garbage).
+ * dropped (stream sync cannot be re-established mid-garbage). Error
+ * offsets are stream offsets: bytes consumed before the bad frame.
+ *
+ * Frames are consumed by moving an offset; the consumed prefix is
+ * dropped once per Feed, so taking a frame never moves the rest of
+ * the buffer.
  */
 class FrameReader
 {
   public:
     /** Append raw bytes from the stream. Throws WireError on a bad
-     *  magic or oversized/undersized frame length. */
+     *  magic or oversized/undersized frame length. Ends the views
+     *  returned by NextView(). */
     void Feed(std::string_view bytes);
 
     /** True when at least one complete frame is buffered. */
     bool HasFrame() const;
 
-    /** Pop and decode the next complete frame (HasFrame() must be
-     *  true). Throws WireError if the frame fails validation. */
+    /** Pop and parse the next complete frame (HasFrame() must be
+     *  true). The result views the reader's buffer and is valid until
+     *  the next Feed. Throws WireError if the frame fails validation. */
+    FrameView NextView();
+
+    /** NextView, copied out of the reader's buffer. */
     Frame Next();
 
     /** Bytes consumed from the stream so far (diagnostics). */
@@ -205,7 +251,11 @@ class FrameReader
     /** Validate the buffered header prefix; throws when poisoned. */
     void CheckHeader();
 
+    /** The bytes not yet consumed: a frame prefix starts here. */
+    std::string_view Unread() const;
+
     std::string buffer_;
+    std::size_t head_ = 0;  // consumed prefix of buffer_, dropped by Feed
     std::uint64_t consumed_ = 0;
     bool poisoned_ = false;
 };

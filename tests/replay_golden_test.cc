@@ -66,11 +66,11 @@ TEST(ReplayGolden, ReconfigStormJournalReplaysBitExactly)
     // growth, a leaf bounce, a cross-SB re-parent, an upper promotion,
     // a subtree decommission) must replay bit-exactly, reconstructing
     // the mutated fleet mid-stream. Regenerate after an intentional
-    // behavior change with:
-    //   tools/replay_cli record \
-    //       --out tests/data/golden_reconfig_storm.journal \
-    //       --spec tests/data/elastic_small.spec \
-    //       --scenario reconfig-storm --duration-s 180 \
+    // behavior change with this one command:
+    //   tools/replay_cli record
+    //       --out tests/data/golden_reconfig_storm.journal
+    //       --spec tests/data/elastic_small.spec
+    //       --scenario reconfig-storm --duration-s 180
     //       --cycle-ms 3000 --checkpoint-every 5
     if (std::getenv("DYNAMO_SKIP_GOLDEN") != nullptr) {
         GTEST_SKIP() << "DYNAMO_SKIP_GOLDEN set";

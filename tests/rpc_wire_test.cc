@@ -301,6 +301,70 @@ TEST(WireFrame, MutatedRealFramesNeverCrash)
     }
 }
 
+TEST(WireFrame, AppendFrameAddsExactlyTheEncodedFrame)
+{
+    // Every Payload alternative, with strings empty and not, optionals
+    // set and unset, as requests with a target and responses without.
+    std::vector<Payload> messages = SampleMessages();
+    for (const Payload& message : EmptyOptionalMessages()) {
+        messages.push_back(message);
+    }
+    messages.emplace_back(api::StatusResult{});
+    std::vector<bool> seen(std::variant_size_v<Payload>, false);
+
+    std::string buffer = "bytes already queued";
+    std::uint64_t call_id = 1;
+    for (const Payload& message : messages) {
+        SCOPED_TRACE(MessageTypeName(TypeOf(message)));
+        seen[message.index()] = true;
+        Frame frame;
+        frame.kind = call_id % 2 == 1 ? FrameKind::kRequest
+                                      : FrameKind::kResponse;
+        frame.type = TypeOf(message);
+        frame.epoch = 17;
+        frame.call_id = call_id++;
+        frame.target = frame.kind == FrameKind::kRequest ? "agent:sb0/rpp0/s4"
+                                                         : "";
+        frame.payload = EncodeBody(message);
+
+        const std::string before = buffer;
+        AppendFrame(buffer, frame.kind, frame.epoch, frame.call_id,
+                    frame.target, &message);
+        EXPECT_EQ(buffer, before + EncodeFrame(frame));
+    }
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_TRUE(seen[i]) << "Payload alternative " << i << " untested";
+    }
+
+    // An error frame: no body, the reason in `target`.
+    Frame error;
+    error.kind = FrameKind::kError;
+    error.type = MessageType::kNone;
+    error.epoch = 17;
+    error.call_id = 9;
+    error.target = "connection failed";
+    const std::string before = buffer;
+    AppendFrame(buffer, error.kind, error.epoch, error.call_id, error.target,
+                nullptr);
+    EXPECT_EQ(buffer, before + EncodeFrame(error));
+}
+
+TEST(WireFrame, ParseFrameViewsTheFrameBytes)
+{
+    const std::string bytes = EncodeFrame(SampleFrame());
+    const FrameView view = ParseFrame(bytes);
+    EXPECT_EQ(view.kind, FrameKind::kRequest);
+    EXPECT_EQ(view.type, MessageType::kCapRequest);
+    EXPECT_EQ(view.epoch, 17u);
+    EXPECT_EQ(view.call_id, 0x123456789abcULL);
+    EXPECT_EQ(view.target, "agent:sb0/rpp0/s4");
+    EXPECT_EQ(view.payload, SampleFrame().payload);
+    // Views, not copies: both sections point into `bytes`.
+    EXPECT_EQ(view.target.data(), bytes.data() + kFrameFixedHeaderBytes + 8);
+    EXPECT_EQ(view.payload.data(),
+              view.target.data() + view.target.size() + 8);
+}
+
 TEST(WireReader, ReassemblesFramesUnderArbitraryChunking)
 {
     std::string stream;
@@ -361,6 +425,63 @@ TEST(WireReader, TornFrameIsHeldNotDelivered)
     reader.Feed(std::string_view(bytes).substr(bytes.size() - 1));
     ASSERT_TRUE(reader.HasFrame());
     EXPECT_EQ(reader.Next().target, "agent:sb0/rpp0/s4");
+}
+
+TEST(WireReader, OneChunkOfManyFramesComesOutInOrder)
+{
+    // A leaf's worth of replies arriving in one read.
+    constexpr std::uint64_t kFrames = 240;
+    const Payload read = SampleMessages()[1];
+    std::string stream;
+    for (std::uint64_t id = 1; id <= kFrames; ++id) {
+        AppendFrame(stream, FrameKind::kResponse, 3, id, "", &read);
+    }
+    const std::size_t frame_bytes = stream.size() / kFrames;
+    const std::string body = EncodeBody(read);
+
+    FrameReader reader;
+    reader.Feed(stream);
+    std::uint64_t next = 1;
+    while (reader.HasFrame()) {
+        const FrameView frame = reader.NextView();
+        EXPECT_EQ(frame.call_id, next);
+        EXPECT_EQ(frame.type, MessageType::kPowerReadResult);
+        EXPECT_EQ(frame.payload, body);
+        EXPECT_EQ(reader.bytes_consumed(), next * frame_bytes);
+        ++next;
+    }
+    EXPECT_EQ(next, kFrames + 1);
+    EXPECT_EQ(reader.bytes_consumed(), stream.size());
+    EXPECT_FALSE(reader.poisoned());
+
+    // The next Feed drops the consumed frames and the stream carries on.
+    reader.Feed(std::string_view(stream).substr(0, frame_bytes));
+    ASSERT_TRUE(reader.HasFrame());
+    EXPECT_EQ(reader.Next().call_id, 1u);
+    EXPECT_EQ(reader.bytes_consumed(), stream.size() + frame_bytes);
+}
+
+TEST(WireReader, BadMagicAfterGoodFramesReportsItsStreamOffset)
+{
+    constexpr int kGood = 7;
+    std::string stream;
+    for (int i = 0; i < kGood; ++i) stream += EncodeFrame(SampleFrame());
+
+    FrameReader reader;
+    reader.Feed(stream);
+    for (int i = 0; i < kGood; ++i) {
+        ASSERT_TRUE(reader.HasFrame());
+        EXPECT_EQ(reader.Next().target, "agent:sb0/rpp0/s4");
+    }
+    // The consumed frames are gone from the buffer by now, but the
+    // offset still counts them.
+    try {
+        reader.Feed("XXXXXXXX");
+        FAIL() << "bad magic accepted";
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.offset(), stream.size());
+    }
+    EXPECT_TRUE(reader.poisoned());
 }
 
 }  // namespace
