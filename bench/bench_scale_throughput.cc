@@ -28,18 +28,22 @@
  *   bench_scale_throughput --mega-smoke         # 1M-server smoke
  *   bench_scale_throughput --threads 4 --scenario "grid-dr(hold_s=120)"
  *
- * --check is the CI perf smoke: it compares the measured sim-seconds
- * per wall-second (realtime_ratio) against the committed baseline and
- * exits non-zero on a >3x regression (generous enough to absorb
- * shared-runner noise, tight enough to catch an accidental
- * O(n log n) -> O(n^2) slip). It gates simulated time, not kernel
- * events per second, because a change that needs fewer events for the
- * same simulation is faster, not slower.
+ * --check is the CI perf smoke: it runs each suite five times, takes
+ * the best measured sim-seconds per wall-second (realtime_ratio), and
+ * compares it against the committed baseline, exiting non-zero on a
+ * >3x regression (generous enough to absorb shared-runner noise, tight
+ * enough to catch an accidental O(n log n) -> O(n^2) slip). A 1k-server
+ * suite times only milliseconds of wall clock, so one run swings
+ * several-fold with host load; the best of five does not. It gates
+ * simulated time, not kernel events per second, because a change that
+ * needs fewer events for the same simulation is faster, not slower.
  *
  * --threads N runs the sharded parallel engine (fleet/sharding.h)
  * instead of the single-kernel fleet: one shard per SB subtree on an
  * N-thread pool, barrier-synchronized every 9 s of sim time. The run
- * records a DYNJRNL1 journal; --journal writes it to disk.
+ * records a DYNJRNL1 journal; --journal writes it to disk. When the
+ * run ends it prints the process's peak resident set (VmHWM), the
+ * fleet-scale memory footprint.
  *
  * --parallel-suite measures the 1/2/4/8-thread scaling curves at 10 k
  * and 100 k servers and writes BENCH_PARALLEL.json (path via --out).
@@ -720,6 +724,23 @@ BaselineRealtimeRatio(const std::string& json, std::size_t servers,
     return *out > 0.0;
 }
 
+/**
+ * Peak resident set of this process, MB (VmHWM, as perfbench reads
+ * it); 0 when /proc is unavailable.
+ */
+double
+PeakRssMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+        }
+    }
+    return 0.0;
+}
+
 }  // namespace
 }  // namespace dynamo
 
@@ -947,6 +968,9 @@ main(int argc, char** argv)
                 std::fflush(stdout);
             }
         }
+        if (!parallel_suite) {
+            std::printf("peak RSS (VmHWM): %.1f MB\n", PeakRssMb());
+        }
         if (!journal_path.empty()) {
             const ParallelResult& last = results.back();
             std::ofstream out(journal_path, std::ios::binary);
@@ -1017,19 +1041,30 @@ main(int argc, char** argv)
         return ok ? 0 : 1;
     }
 
+    const int reps = check_path.empty() ? 1 : 5;  // --check: best of five
     std::vector<SuiteResult> results;
     for (const std::size_t n : sizes) {
-        std::printf("running %zu-server suite (%lld sim-seconds)%s...\n", n,
-                    static_cast<long long>(measure_ms / 1000),
-                    with_metrics ? " with metrics" : "");
-        std::fflush(stdout);
-        results.push_back(RunSuite(n, measure_ms, with_metrics));
+        for (int rep = 0; rep < reps; ++rep) {
+            std::printf("running %zu-server suite (%lld sim-seconds)%s",
+                        n, static_cast<long long>(measure_ms / 1000),
+                        with_metrics ? " with metrics" : "");
+            if (reps > 1) std::printf(", run %d/%d", rep + 1, reps);
+            std::printf("...\n");
+            std::fflush(stdout);
+            SuiteResult run = RunSuite(n, measure_ms, with_metrics);
+            if (rep == 0) {
+                results.push_back(run);
+            } else if (run.realtime_ratio > results.back().realtime_ratio) {
+                results.back() = run;
+            }
+        }
         const SuiteResult& r = results.back();
         std::printf(
-            "  %zu servers: %.2fM events/s, %.0fx real-time, "
+            "  %zu servers%s: %.2fM events/s, %.0fx real-time, "
             "leaf cycle p50/p99 %.0f/%.0f us, upper %.0f/%.0f us\n",
-            r.servers, r.events_per_sec / 1e6, r.realtime_ratio, r.leaf_p50_us,
-            r.leaf_p99_us, r.upper_p50_us, r.upper_p99_us);
+            r.servers, reps > 1 ? " (best run)" : "", r.events_per_sec / 1e6,
+            r.realtime_ratio, r.leaf_p50_us, r.leaf_p99_us, r.upper_p50_us,
+            r.upper_p99_us);
         if (r.metrics_on) {
             std::printf("  telemetry: %llu rpc calls counted, %llu decision "
                         "spans\n",

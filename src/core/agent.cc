@@ -1,6 +1,5 @@
 #include "core/agent.h"
 
-#include <utility>
 #include <variant>
 
 #include "telemetry/metrics.h"
@@ -8,10 +7,10 @@
 namespace dynamo::core {
 
 DynamoAgent::DynamoAgent(sim::Simulation& sim, rpc::Transport& transport,
-                         server::SimServer& server, std::string endpoint)
+                         server::SimServer& server,
+                         const std::string& endpoint)
     : sim_(sim), transport_(transport), server_(server),
-      endpoint_(std::move(endpoint)),
-      endpoint_id_(transport.Resolve(endpoint_))
+      endpoint_id_(transport.Resolve(endpoint))
 {
     Restart();
 }

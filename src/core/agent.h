@@ -37,16 +37,22 @@ class DynamoAgent
      * @param transport  RPC transport to register on.
      * @param server     Host server (not owned; must outlive the agent).
      * @param endpoint   Transport endpoint name, unique per server.
+     *                   Interned in `transport`, which keeps the only
+     *                   copy; the agent holds its id.
      */
     DynamoAgent(sim::Simulation& sim, rpc::Transport& transport,
-                server::SimServer& server, std::string endpoint);
+                server::SimServer& server, const std::string& endpoint);
 
     ~DynamoAgent();
 
     DynamoAgent(const DynamoAgent&) = delete;
     DynamoAgent& operator=(const DynamoAgent&) = delete;
 
-    const std::string& endpoint() const { return endpoint_; }
+    /** Endpoint name, read from the transport's intern table. */
+    const std::string& endpoint() const
+    {
+        return transport_.endpoints().Name(endpoint_id_);
+    }
 
     /** Interned id of this agent's endpoint (hot-path RPC key). */
     rpc::EndpointId endpoint_id() const { return endpoint_id_; }
@@ -76,7 +82,7 @@ class DynamoAgent
     /** Serialize liveness and served-command counters (canonical). */
     void Snapshot(Archive& ar) const
     {
-        ar.Str(endpoint_);
+        ar.Str(endpoint());
         ar.Bool(alive_);
         ar.U64(reads_served_);
         ar.U64(caps_applied_);
@@ -90,7 +96,6 @@ class DynamoAgent
     sim::Simulation& sim_;
     rpc::Transport& transport_;
     server::SimServer& server_;
-    std::string endpoint_;
     rpc::EndpointId endpoint_id_ = rpc::kInvalidEndpoint;
     bool alive_ = false;
     std::uint64_t reads_served_ = 0;

@@ -120,6 +120,7 @@ ControllerBuilder::BuildLeaf() const
     if (policy_) config.capping_policy = *policy_;
     std::unique_ptr<LeafController> leaf(new LeafController(
         sim_, transport_, endpoint_, *device_, config, log_));
+    leaf->agents_.reserve(agents_.size());
     for (const AgentInfo& info : agents_) leaf->AddAgent(info);
     if (metrics_ != nullptr || traces_ != nullptr) {
         leaf->AttachTelemetry(metrics_, traces_);

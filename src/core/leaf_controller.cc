@@ -19,12 +19,15 @@ LeafController::LeafController(sim::Simulation& sim, rpc::Transport& transport,
 }
 
 void
-LeafController::AddAgent(AgentInfo info)
+LeafController::AddAgent(const AgentInfo& info)
 {
     AgentState state;
-    state.info = std::move(info);
-    state.id = transport_.Resolve(state.info.endpoint);
-    agents_.push_back(std::move(state));
+    state.id = transport_.Resolve(info.endpoint);
+    state.service = info.service;
+    state.priority_group = info.priority_group;
+    state.sla_min_cap = info.sla_min_cap;
+    state.nominal_power = info.nominal_power;
+    agents_.push_back(state);
 }
 
 std::size_t
@@ -41,7 +44,7 @@ Watts
 LeafController::Floor() const
 {
     Watts floor = last_noncappable_;
-    for (const AgentState& a : agents_) floor += a.info.sla_min_cap;
+    for (const AgentState& a : agents_) floor += a.sla_min_cap;
     return floor;
 }
 
@@ -122,13 +125,13 @@ LeafController::EstimateFor(AgentState& agent)
     std::size_t n = 0;
     for (const AgentState& other : agents_) {
         if (!other.current) continue;
-        if (other.info.service != agent.info.service) continue;
+        if (other.service != agent.service) continue;
         sum += other.current->power;
         ++n;
     }
     if (n > 0) return sum / static_cast<double>(n);
     if (agent.have_last) return agent.last_power;
-    return agent.info.nominal_power;
+    return agent.nominal_power;
 }
 
 void
@@ -212,8 +215,8 @@ LeafController::Aggregate()
         infos_.resize(agents_.size());
         for (std::size_t i = 0; i < agents_.size(); ++i) {
             infos_[i].power = powers[i];
-            infos_[i].priority_group = agents_[i].info.priority_group;
-            infos_[i].sla_min_cap = agents_[i].info.sla_min_cap;
+            infos_[i].priority_group = agents_[i].priority_group;
+            infos_[i].sla_min_cap = agents_[i].sla_min_cap;
         }
     };
     policy::PolicyContext pctx;
@@ -273,13 +276,13 @@ LeafController::Aggregate()
             for (const CapAssignment& assignment : plan.assignments) {
                 if (assignment.index >= agents_.size()) continue;
                 const AgentState& a = agents_[assignment.index];
-                auto& group = by_group[a.info.priority_group];
+                auto& group = by_group[a.priority_group];
                 group.first += assignment.cut;
                 ++group.second;
                 telemetry::TraceAllocation alloc;
-                alloc.target = a.info.endpoint;
+                alloc.target = agent_endpoint(assignment.index);
                 alloc.power = powers[assignment.index];
-                alloc.floor = a.info.sla_min_cap;
+                alloc.floor = a.sla_min_cap;
                 alloc.cut = assignment.cut;
                 alloc.limit_sent = assignment.cap;
                 alloc.bucket = BucketIndex(powers[assignment.index],
@@ -396,7 +399,7 @@ LeafController::Snapshot(Archive& ar) const
     // pull failure) and the caps this instance believes are in force.
     ar.U64(agents_.size());
     for (const AgentState& a : agents_) {
-        ar.Str(a.info.endpoint);
+        ar.Str(transport_.endpoints().Name(a.id));
         ar.F64(a.last_power);
         ar.Bool(a.have_last);
         ar.I64(a.last_time);

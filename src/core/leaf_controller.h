@@ -32,7 +32,11 @@
 
 namespace dynamo::core {
 
-/** Static metadata the controller keeps per downstream agent. */
+/**
+ * Static metadata of one downstream agent, as handed to AddAgent. The
+ * controller interns `endpoint` in its transport and keeps the id, not
+ * the string.
+ */
 struct AgentInfo
 {
     std::string endpoint;
@@ -90,9 +94,15 @@ class LeafController : public Controller
     };
 
     /** Add one downstream agent to the roster (before or after Activate). */
-    void AddAgent(AgentInfo info);
+    void AddAgent(const AgentInfo& info);
 
     std::size_t agent_count() const { return agents_.size(); }
+
+    /** Endpoint name of roster entry `i`, read from the transport. */
+    const std::string& agent_endpoint(std::size_t i) const
+    {
+        return transport_.endpoints().Name(agents_[i].id);
+    }
 
     /** Number of servers currently capped by this controller. */
     std::size_t capped_count() const;
@@ -194,12 +204,22 @@ class LeafController : public Controller
         bool capped = false;
     };
 
+    /**
+     * One roster entry: AgentInfo's numbers plus the agent's interned
+     * endpoint id. The name stays in the transport's intern table; an
+     * id is released only after its agent and every roster entry that
+     * holds it are gone, so it always names this entry's agent.
+     */
     struct AgentState
     {
-        AgentInfo info;
-
         /** Interned endpoint id, resolved once in AddAgent. */
         rpc::EndpointId id = rpc::kInvalidEndpoint;
+        workload::ServiceType service = workload::ServiceType::kWeb;
+        int priority_group = 0;
+        bool have_last = false;
+        bool capped = false;
+        Watts sla_min_cap = 0.0;
+        Watts nominal_power = 0.0;
 
         /**
          * This cycle's reading; nullopt covers "no response yet",
@@ -207,9 +227,7 @@ class LeafController : public Controller
          */
         std::optional<Reading> current;
         Watts last_power = 0.0;
-        bool have_last = false;
         SimTime last_time = 0;  ///< When last_power was read (TTL check).
-        bool capped = false;
         Watts cap = 0.0;
     };
 

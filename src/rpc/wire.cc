@@ -440,6 +440,7 @@ DecodeFrame(std::string_view bytes)
 void
 FrameReader::Feed(std::string_view bytes)
 {
+    ThrowDeferred();
     if (poisoned_) {
         throw WireError("stream poisoned by an earlier framing error",
                         consumed_);
@@ -449,7 +450,7 @@ FrameReader::Feed(std::string_view bytes)
     buffer_.erase(0, head_);
     head_ = 0;
     buffer_.append(bytes.data(), bytes.size());
-    CheckHeader();
+    if (auto error = CheckHeader()) throw *error;
 }
 
 std::string_view
@@ -458,31 +459,42 @@ FrameReader::Unread() const
     return std::string_view(buffer_).substr(head_);
 }
 
-void
+std::optional<WireError>
 FrameReader::CheckHeader()
 {
-    if (Unread().size() < 8) return;
+    if (Unread().size() < 8) return std::nullopt;
     ArchiveReader r(Unread());
     const std::uint32_t magic = r.U32();
     if (magic != kWireMagic) {
         poisoned_ = true;
-        throw WireError("bad magic on stream", consumed_);
+        return WireError("bad magic on stream", consumed_);
     }
     const std::uint32_t frame_len = r.U32();
     if (frame_len < kFrameFixedHeaderBytes + 8 + 16 ||
         frame_len > kMaxFrameBytes) {
         poisoned_ = true;
-        throw WireError("frame length " + std::to_string(frame_len) +
-                            " outside [" +
-                            std::to_string(kFrameFixedHeaderBytes + 8 + 16) +
-                            ", " + std::to_string(kMaxFrameBytes) + "]",
-                        consumed_ + 4);
+        return WireError("frame length " + std::to_string(frame_len) +
+                             " outside [" +
+                             std::to_string(kFrameFixedHeaderBytes + 8 + 16) +
+                             ", " + std::to_string(kMaxFrameBytes) + "]",
+                         consumed_ + 4);
     }
+    return std::nullopt;
+}
+
+void
+FrameReader::ThrowDeferred()
+{
+    if (!deferred_) return;
+    const WireError error = *deferred_;
+    deferred_.reset();
+    throw error;
 }
 
 bool
 FrameReader::HasFrame() const
 {
+    if (deferred_) return true;
     if (poisoned_ || Unread().size() < 8) return false;
     ArchiveReader r(Unread());
     r.U32();  // magic, validated by CheckHeader
@@ -492,6 +504,7 @@ FrameReader::HasFrame() const
 FrameView
 FrameReader::NextView()
 {
+    ThrowDeferred();
     if (!HasFrame()) {
         throw WireError("Next() without a complete frame", consumed_);
     }
@@ -507,7 +520,7 @@ FrameReader::NextView()
     }
     head_ += frame_len;
     consumed_ += frame_len;
-    if (head_ < buffer_.size()) CheckHeader();
+    if (head_ < buffer_.size()) deferred_ = CheckHeader();
     return frame;
 }
 

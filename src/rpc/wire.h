@@ -48,6 +48,7 @@
 #define DYNAMO_RPC_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -231,12 +232,16 @@ class FrameReader
      *  returned by NextView(). */
     void Feed(std::string_view bytes);
 
-    /** True when at least one complete frame is buffered. */
+    /** True when NextView() has something to hand over: a complete
+     *  buffered frame, or a framing error found behind the last frame
+     *  it returned, which it then throws. */
     bool HasFrame() const;
 
     /** Pop and parse the next complete frame (HasFrame() must be
      *  true). The result views the reader's buffer and is valid until
-     *  the next Feed. Throws WireError if the frame fails validation. */
+     *  the next Feed. Throws WireError if the frame fails validation.
+     *  A bad header right behind the popped frame does not cost that
+     *  frame: the error is thrown by the reader's next call. */
     FrameView NextView();
 
     /** NextView, copied out of the reader's buffer. */
@@ -248,8 +253,12 @@ class FrameReader
     bool poisoned() const { return poisoned_; }
 
   private:
-    /** Validate the buffered header prefix; throws when poisoned. */
-    void CheckHeader();
+    /** Validate the buffered header prefix; on a bad one, poison the
+     *  reader and return the error. */
+    std::optional<WireError> CheckHeader();
+
+    /** Throw the error CheckHeader deferred, if any. */
+    void ThrowDeferred();
 
     /** The bytes not yet consumed: a frame prefix starts here. */
     std::string_view Unread() const;
@@ -258,6 +267,9 @@ class FrameReader
     std::size_t head_ = 0;  // consumed prefix of buffer_, dropped by Feed
     std::uint64_t consumed_ = 0;
     bool poisoned_ = false;
+
+    /** A bad header found behind a frame NextView returned. */
+    std::optional<WireError> deferred_;
 };
 
 }  // namespace dynamo::rpc::wire

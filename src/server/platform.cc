@@ -12,19 +12,21 @@ RaplAccessName(RaplAccess access)
     return "?";
 }
 
-PlatformSpec
+namespace {
+
+// Direct MSR write: effectively instantaneous, 1/8 W units.
+constexpr PlatformSpec kMsrSpec{RaplAccess::kMsr, 0, 0.125};
+
+// BMC round-trip plus node-manager policy programming: a few hundred
+// milliseconds, whole-watt granularity.
+constexpr PlatformSpec kIpmiSpec{RaplAccess::kIpmiNodeManager, 250, 1.0};
+
+}  // namespace
+
+const PlatformSpec&
 PlatformSpec::For(RaplAccess access)
 {
-    switch (access) {
-      case RaplAccess::kMsr:
-        // Direct MSR write: effectively instantaneous, 1/8 W units.
-        return PlatformSpec{RaplAccess::kMsr, 0, 0.125};
-      case RaplAccess::kIpmiNodeManager:
-        // BMC round-trip plus node-manager policy programming: a few
-        // hundred milliseconds, whole-watt granularity.
-        return PlatformSpec{RaplAccess::kIpmiNodeManager, 250, 1.0};
-    }
-    return PlatformSpec{};
+    return access == RaplAccess::kIpmiNodeManager ? kIpmiSpec : kMsrSpec;
 }
 
 }  // namespace dynamo::server

@@ -40,8 +40,11 @@ struct PlatformSpec
     /** Power-limit granularity in watts (commands are rounded to it). */
     Watts limit_quantum = 0.125;
 
-    /** Reference spec for each access path. */
-    static PlatformSpec For(RaplAccess access);
+    /**
+     * Reference spec for each access path: an entry of one shared,
+     * immutable table, so servers refer to it instead of copying it.
+     */
+    static const PlatformSpec& For(RaplAccess access);
 
     /** Quantize a requested limit to this platform's granularity. */
     Watts Quantize(Watts limit) const

@@ -47,10 +47,10 @@ class RaplModel
 
   private:
     double tau_s_;
-    bool has_limit_ = false;
     Watts limit_ = 0.0;
     Watts actual_ = 0.0;
     SimTime last_time_ = 0;
+    bool has_limit_ = false;  // flags last: both share one padded word
     bool started_ = false;
 };
 

@@ -42,20 +42,27 @@ class PowerSensor
  * Model-based power estimator for sensorless servers: maps observed
  * CPU utilization through a calibrated power curve. `bias_frac`
  * captures calibration drift; `noise_frac` the residual model error.
+ *
+ * The estimator refers to its curve instead of copying it (a server's
+ * estimator points at the server's own spec), so the curve must
+ * outlive it; building one from a temporary does not compile.
  */
 class PowerEstimator
 {
   public:
-    PowerEstimator(ServerPowerSpec calibrated_spec, double bias_frac = 0.0,
-                   double noise_frac = 0.04)
-        : spec_(calibrated_spec), bias_frac_(bias_frac), noise_frac_(noise_frac)
+    PowerEstimator(const ServerPowerSpec& calibrated_spec,
+                   double bias_frac = 0.0, double noise_frac = 0.04)
+        : spec_(&calibrated_spec), bias_frac_(bias_frac),
+          noise_frac_(noise_frac)
     {
     }
+
+    PowerEstimator(ServerPowerSpec&&, double = 0.0, double = 0.04) = delete;
 
     /** Estimate power from an observed utilization sample. */
     Watts Estimate(double util, Rng& rng) const
     {
-        const Watts model = PowerAtUtil(spec_, util);
+        const Watts model = PowerAtUtil(*spec_, util);
         return model * (1.0 + bias_frac_ + rng.Normal(0.0, noise_frac_));
     }
 
@@ -83,7 +90,7 @@ class PowerEstimator
     void set_bias_frac(double bias_frac) { bias_frac_ = bias_frac; }
 
   private:
-    ServerPowerSpec spec_;
+    const ServerPowerSpec* spec_;
     double bias_frac_;
     double noise_frac_;
 };

@@ -1,6 +1,7 @@
 #include "server/sim_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/archive.h"
 
@@ -8,19 +9,23 @@ namespace dynamo::server {
 
 SimServer::SimServer(Config config, workload::LoadProcessParams params,
                      const workload::TrafficModel* traffic)
-    : config_(std::move(config)),
-      spec_(config_.spec_override.value_or(
-          ServerPowerSpec::For(config_.generation))),
-      platform_(PlatformSpec::For(config_.rapl_access.value_or(
-          config_.generation == ServerGeneration::kWestmere2011
+    : name_(std::move(config.name)),
+      spec_(config.spec_override.value_or(
+          ServerPowerSpec::For(config.generation))),
+      platform_(PlatformSpec::For(config.rapl_access.value_or(
+          config.generation == ServerGeneration::kWestmere2011
               ? RaplAccess::kMsr
               : RaplAccess::kIpmiNodeManager))),
-      perf_(workload::PerfModelParams::For(config_.service)),
-      rng_(config_.seed),
+      perf_(workload::PerfModelParams::For(config.service)),
+      rng_(config.seed),
       load_(params, rng_.Split(0x10ad), traffic),
-      rapl_(config_.rapl_tau_s),
+      rapl_(config.rapl_tau_s),
       sensor_(),
-      estimator_(spec_)
+      estimator_(spec_),
+      generation_(config.generation),
+      service_(config.service),
+      has_sensor_(config.has_sensor),
+      turbo_enabled_(config.turbo_enabled)
 {
     // Anchor the lazy clock at t=0 so the first external read accrues
     // work over a well-defined interval.
@@ -56,18 +61,18 @@ SimServer::AdvanceTo(SimTime now)
             const double dt_s = ToSeconds(now - prev);
             demanded_work_ +=
                 cached_util_ * dt_s *
-                (config_.turbo_enabled ? spec_.turbo_perf_mult : 1.0);
+                (turbo_enabled_ ? spec_.turbo_perf_mult : 1.0);
         }
         return;
     }
 
-    cached_demand_ = PowerAtUtil(spec_, cached_util_, config_.turbo_enabled);
+    cached_demand_ = PowerAtUtil(spec_, cached_util_, turbo_enabled_);
     cached_actual_ = rapl_.Apply(cached_demand_, now);
 
     if (prev >= 0) {
         const double dt_s = ToSeconds(now - prev);
         const double perf_mult =
-            config_.turbo_enabled ? spec_.turbo_perf_mult : 1.0;
+            turbo_enabled_ ? spec_.turbo_perf_mult : 1.0;
         const double demanded_rate = cached_util_ * perf_mult;
         const double reduction =
             cached_demand_ > 0.0
@@ -186,8 +191,8 @@ SimServer::SlowdownPercentAt(SimTime now)
 void
 SimServer::Snapshot(dynamo::Archive& ar) const
 {
-    ar.Str(config_.name);
-    ar.Bool(config_.turbo_enabled);
+    ar.Str(name_);
+    ar.Bool(turbo_enabled_);
     load_.Snapshot(ar);
     // RAPL actuator: limit plus the settled output (the settling
     // trajectory is fully determined by `actual` and subsequent reads).

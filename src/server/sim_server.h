@@ -10,6 +10,7 @@
 #ifndef DYNAMO_SERVER_SIM_SERVER_H_
 #define DYNAMO_SERVER_SIM_SERVER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -75,12 +76,15 @@ class SimServer : public power::PowerLoad
     SimServer(Config config, workload::LoadProcessParams params,
               const workload::TrafficModel* traffic = nullptr);
 
-    const std::string& name() const { return config_.name; }
-    workload::ServiceType service() const { return config_.service; }
-    ServerGeneration generation() const { return config_.generation; }
+    /** Not copyable: the estimator points at this server's own spec. */
+    SimServer(const SimServer&) = delete;
+    SimServer& operator=(const SimServer&) = delete;
+
+    const std::string& name() const { return name_; }
+    workload::ServiceType service() const { return service_; }
+    ServerGeneration generation() const { return generation_; }
     const ServerPowerSpec& spec() const { return spec_; }
-    const Config& config() const { return config_; }
-    bool has_sensor() const { return config_.has_sensor; }
+    bool has_sensor() const { return has_sensor_; }
 
     // --- power::PowerLoad ---
 
@@ -125,8 +129,8 @@ class SimServer : public power::PowerLoad
     const PlatformSpec& platform() const { return platform_; }
 
     /** Enable/disable Turbo Boost at runtime (Section IV-B). */
-    void set_turbo_enabled(bool on) { config_.turbo_enabled = on; }
-    bool turbo_enabled() const { return config_.turbo_enabled; }
+    void set_turbo_enabled(bool on) { turbo_enabled_ = on; }
+    bool turbo_enabled() const { return turbo_enabled_; }
 
     // --- measurement paths used by the agent ---
 
@@ -186,29 +190,38 @@ class SimServer : public power::PowerLoad
     /** Apply a platform-delayed cap/uncap that has become effective. */
     void ApplyPendingCommand(SimTime now);
 
-    enum class PendingCommand { kNone, kSet, kClear };
+    enum class PendingCommand : std::uint8_t { kNone, kSet, kClear };
 
-    Config config_;
+    // Each fact is stored once. Config's remaining fields (spec
+    // override, RAPL access path, seed, RAPL tau) are construction
+    // inputs whose values live on in spec_, platform_, rng_ and rapl_.
+    std::string name_;
     ServerPowerSpec spec_;
-    PlatformSpec platform_;
-    workload::PerfModelParams perf_;
+    const PlatformSpec& platform_;            ///< Shared, per access path.
+    const workload::PerfModelParams& perf_;  ///< Shared, per service.
     Rng rng_;
     workload::LoadProcess load_;
     RaplModel rapl_;
     PowerSensor sensor_;
-    PowerEstimator estimator_;
+    PowerEstimator estimator_;  ///< Points at spec_.
 
-    PendingCommand pending_ = PendingCommand::kNone;
     Watts pending_limit_ = 0.0;
     SimTime pending_effective_ = 0;
 
-    bool dark_ = false;
     SimTime last_time_ = -1;
     double cached_util_ = 0.0;
     Watts cached_demand_ = 0.0;
     Watts cached_actual_ = 0.0;
     double demanded_work_ = 0.0;
     double delivered_work_ = 0.0;
+
+    // Enums and flags last, packed into one word.
+    ServerGeneration generation_;
+    workload::ServiceType service_;
+    PendingCommand pending_ = PendingCommand::kNone;
+    bool has_sensor_;
+    bool turbo_enabled_;
+    bool dark_ = false;
 };
 
 }  // namespace dynamo::server

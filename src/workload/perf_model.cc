@@ -1,38 +1,38 @@
 #include "workload/perf_model.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 
 namespace dynamo::workload {
 
-PerfModelParams
+namespace {
+
+/** One curve per service, in ServiceType order. */
+constexpr PerfModelParams kPerfByService[] = {
+    // kWeb: matches the Fig. 13 control-group experiment directly.
+    {20.0, 0.5, 4.0},
+    // kCache: memory-bound, modest latency sensitivity to frequency.
+    {25.0, 0.4, 2.5},
+    // kHadoop: CPU-bound map-reduce, throughput tracks frequency closely.
+    {15.0, 0.8, 4.5},
+    // kDatabase.
+    {20.0, 0.6, 3.5},
+    // kNewsfeed.
+    {20.0, 0.6, 4.0},
+    // kF4Storage: IO-bound, frequency barely matters until deep cuts.
+    {30.0, 0.3, 2.0},
+};
+static_assert(std::size(kPerfByService) == kAllServices.size());
+
+}  // namespace
+
+const PerfModelParams&
 PerfModelParams::For(ServiceType service)
 {
-    PerfModelParams p;
-    switch (service) {
-      case ServiceType::kWeb:
-        // Matches the Fig. 13 control-group experiment directly.
-        p = {20.0, 0.5, 4.0};
-        break;
-      case ServiceType::kCache:
-        // Memory-bound: modest latency sensitivity to frequency.
-        p = {25.0, 0.4, 2.5};
-        break;
-      case ServiceType::kHadoop:
-        // CPU-bound map-reduce: throughput tracks frequency closely.
-        p = {15.0, 0.8, 4.5};
-        break;
-      case ServiceType::kDatabase:
-        p = {20.0, 0.6, 3.5};
-        break;
-      case ServiceType::kNewsfeed:
-        p = {20.0, 0.6, 4.0};
-        break;
-      case ServiceType::kF4Storage:
-        // IO-bound: frequency barely matters until deep cuts.
-        p = {30.0, 0.3, 2.0};
-        break;
-    }
-    return p;
+    const auto index = static_cast<std::size_t>(service);
+    return index < std::size(kPerfByService) ? kPerfByService[index]
+                                             : kPerfByService[0];
 }
 
 double

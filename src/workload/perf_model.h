@@ -28,8 +28,12 @@ struct PerfModelParams
     /** Slowdown %-points per reduction %-point above the knee. */
     double slope_high = 4.0;
 
-    /** Per-service curves; CPU-bound services steepen harder. */
-    static PerfModelParams For(ServiceType service);
+    /**
+     * Per-service curves; CPU-bound services steepen harder. Entries
+     * of one shared, immutable table, so servers refer to them
+     * instead of copying them.
+     */
+    static const PerfModelParams& For(ServiceType service);
 };
 
 /**

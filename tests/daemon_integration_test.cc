@@ -29,9 +29,11 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/api.h"
@@ -92,6 +94,12 @@ class DaemonFleet : public ::testing::Test
                 ::kill(child.pid, SIGKILL);
                 ::waitpid(child.pid, nullptr, 0);
             }
+        }
+        // The children are gone, so nothing still serves on the
+        // sockets: drop the spec, the sockets and the directory.
+        if (!dir_.empty()) {
+            std::error_code ignored;
+            std::filesystem::remove_all(dir_, ignored);
         }
     }
 

@@ -3,6 +3,7 @@
 // at the 9 s upper-cycle barrier, bump the spec epoch, and leave the
 // control plane enforcing every contractual limit across server
 // churn, breaker re-parents, leaf warm swaps, and upper promotion.
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -10,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "chaos/invariants.h"
+#include "common/archive.h"
 #include "common/units.h"
 #include "core/deployment.h"
 #include "fleet/fleet.h"
 #include "fleet/reconfig.h"
 #include "fleet/spec_parser.h"
 #include "power/device.h"
+#include "rpc/endpoint.h"
 #include "telemetry/event_log.h"
 
 namespace dynamo::fleet {
@@ -165,6 +168,81 @@ TEST(FleetReconfig, RemoveSubtreeDecommissionsCleanly)
     EXPECT_TRUE(checker.ok()) << (checker.violations().empty()
                                       ? std::string("(none recorded)")
                                       : checker.violations().front());
+}
+
+TEST(FleetReconfig, RecycledEndpointIdsNeverRenameSurvivors)
+{
+    // Agents and leaf rosters hold interned endpoint ids and read their
+    // names back from the transport's table. Removing a subtree
+    // releases its ids, and servers added elsewhere take them back, so
+    // an id must be released only after every agent and roster entry
+    // holding it is gone — else a survivor would snapshot a stranger's
+    // name.
+    Fleet fleet = MakeFleet();
+    const std::vector<std::string> leaves = LeafNames(fleet);
+    const std::string doomed = leaves.back();
+    const std::string grown = leaves.front();
+    const rpc::EndpointTable& endpoints = fleet.transport().endpoints();
+    std::vector<rpc::EndpointId> doomed_ids;
+    for (const std::string& ep : fleet.AgentEndpointsUnder(doomed)) {
+        doomed_ids.push_back(endpoints.Find(ep));
+    }
+    ASSERT_EQ(doomed_ids.size(), 12u);
+
+    fleet.ScheduleReconfig(ReconfigTxn().RemoveSubtree(doomed));
+    fleet.RunFor(Seconds(10));
+    for (const rpc::EndpointId id : doomed_ids) {
+        EXPECT_EQ(endpoints.Find(endpoints.Name(id)), rpc::kInvalidEndpoint);
+    }
+    // Enough new servers to take every released id, controllers' too.
+    const std::size_t released = endpoints.free_count();
+    ASSERT_GE(released, doomed_ids.size());
+    fleet.ScheduleReconfig(ReconfigTxn().AddServers(grown, released));
+    fleet.RunFor(Seconds(10));
+    EXPECT_EQ(endpoints.free_count(), 0u);
+
+    const core::Deployment& dynamo = *fleet.dynamo();
+    std::size_t recycled = 0;
+    for (const auto& agent : dynamo.agents()) {
+        const std::string own =
+            core::Deployment::AgentEndpoint(agent->server().name());
+        if (std::find(doomed_ids.begin(), doomed_ids.end(),
+                      agent->endpoint_id()) != doomed_ids.end()) {
+            ++recycled;
+            EXPECT_NE(agent->server().name().find("/e2s"), std::string::npos)
+                << own << " holds a recycled id but is not a new server";
+        }
+        EXPECT_EQ(agent->endpoint(), own);
+        Archive snapshot;
+        agent->Snapshot(snapshot);
+        Archive name;
+        name.Str(own);
+        EXPECT_EQ(snapshot.bytes().substr(0, name.bytes().size()),
+                  name.bytes());
+    }
+    EXPECT_EQ(recycled, doomed_ids.size());
+
+    // Every roster entry of every live leaf, primary or standby, names
+    // an agent of the leaf's own domain, and the domain is complete.
+    std::vector<core::LeafController*> live_leaves;
+    for (const auto& leaf : dynamo.leaf_controllers()) {
+        live_leaves.push_back(leaf.get());
+    }
+    for (const auto& leaf : dynamo.leaf_backups()) {
+        live_leaves.push_back(leaf.get());
+    }
+    ASSERT_EQ(live_leaves.size(), 2 * (leaves.size() - 1));
+    for (core::LeafController* leaf : live_leaves) {
+        std::vector<std::string> expected =
+            fleet.AgentEndpointsUnder(leaf->device().name());
+        std::vector<std::string> roster;
+        for (std::size_t i = 0; i < leaf->agent_count(); ++i) {
+            roster.push_back(leaf->agent_endpoint(i));
+        }
+        std::sort(expected.begin(), expected.end());
+        std::sort(roster.begin(), roster.end());
+        EXPECT_EQ(roster, expected) << leaf->endpoint();
+    }
 }
 
 TEST(FleetReconfig, ReparentMovesLeafBetweenUppers)

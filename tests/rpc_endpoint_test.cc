@@ -3,6 +3,7 @@
 #include "rpc/endpoint.h"
 
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,120 @@ TEST(EndpointTable, FindDoesNotIntern)
     EXPECT_EQ(table.size(), 0u);
     const EndpointId id = table.Intern("svc");
     EXPECT_EQ(table.Find("svc"), id);
+}
+
+TEST(EndpointTable, ReleasedNamesLeaveTombstonesAndReinternRecyclesIds)
+{
+    EndpointTable table;
+    const EndpointId a = table.Intern("agent:a");
+    const EndpointId b = table.Intern("agent:b");
+    const EndpointId c = table.Intern("agent:c");
+
+    table.Release("agent:b");
+    table.Release("agent:b");  // second release is a no-op
+    table.Release("never-interned");
+    EXPECT_EQ(table.free_count(), 1u);
+    EXPECT_EQ(table.Find("agent:b"), kInvalidEndpoint);
+    // Probing runs past the tombstone to the names behind it.
+    EXPECT_EQ(table.Find("agent:a"), a);
+    EXPECT_EQ(table.Find("agent:c"), c);
+
+    // A new name takes the released id; the released name comes back
+    // as a brand-new id.
+    const EndpointId d = table.Intern("agent:d");
+    EXPECT_EQ(d, b);
+    EXPECT_EQ(table.Name(d), "agent:d");
+    EXPECT_EQ(table.Intern("agent:b"), 3u);
+    EXPECT_EQ(table.size(), 4u);
+    EXPECT_EQ(table.free_count(), 0u);
+
+    // Release and re-intern the same names many times: tombstones are
+    // swept, ids recycle LIFO (the first new name takes the id released
+    // last), and the table does not grow.
+    EndpointId id_a = a;
+    EndpointId id_c = c;
+    for (int round = 0; round < 1000; ++round) {
+        table.Release("agent:a");
+        table.Release("agent:c");
+        const EndpointId next_a = table.Intern("agent:a");
+        const EndpointId next_c = table.Intern("agent:c");
+        ASSERT_EQ(next_a, id_c);
+        ASSERT_EQ(next_c, id_a);
+        id_a = next_a;
+        id_c = next_c;
+    }
+    EXPECT_EQ(table.size(), 4u);
+    EXPECT_EQ(table.free_count(), 0u);
+    EXPECT_EQ(table.Find("agent:a"), id_a);
+    EXPECT_EQ(table.Find("agent:b"), 3u);
+    EXPECT_EQ(table.Find("agent:c"), id_c);
+    EXPECT_EQ(table.Find("agent:d"), d);
+    EXPECT_EQ(table.Name(id_a), "agent:a");
+    EXPECT_EQ(table.Name(id_c), "agent:c");
+
+    // A stream of short-lived names: every one leaves a tombstone, and
+    // the rebuilds that sweep them must keep the long-lived names.
+    for (int i = 0; i < 5000; ++i) {
+        const std::string name = "tmp:" + std::to_string(i);
+        ASSERT_EQ(table.Intern(name), 4u);  // always the one free id
+        table.Release(name);
+        ASSERT_EQ(table.Find(name), kInvalidEndpoint);
+    }
+    EXPECT_EQ(table.size(), 5u);
+    EXPECT_EQ(table.Find("agent:a"), id_a);
+    EXPECT_EQ(table.Find("agent:b"), 3u);
+    EXPECT_EQ(table.Find("agent:c"), id_c);
+    EXPECT_EQ(table.Find("agent:d"), d);
+}
+
+TEST(EndpointTable, GrowthKeepsEveryIdAndName)
+{
+    // 5,000 names force the index through several rebuilds.
+    constexpr int kNames = 5000;
+    EndpointTable table;
+    for (int i = 0; i < kNames; ++i) {
+        ASSERT_EQ(table.Intern("agent:" + std::to_string(i)),
+                  static_cast<EndpointId>(i));
+    }
+    ASSERT_EQ(table.size(), static_cast<std::size_t>(kNames));
+    for (int i = 0; i < kNames; ++i) {
+        const std::string name = "agent:" + std::to_string(i);
+        EXPECT_EQ(table.Find(name), static_cast<EndpointId>(i));
+        EXPECT_EQ(table.Name(static_cast<EndpointId>(i)), name);
+        EXPECT_EQ(table.Intern(name), static_cast<EndpointId>(i));
+    }
+    EXPECT_EQ(table.size(), static_cast<std::size_t>(kNames));
+}
+
+TEST(EndpointTable, FindByViewWorksAfterReleases)
+{
+    EndpointTable table;
+    for (int i = 0; i < 100; ++i) table.Intern("ctl:rpp" + std::to_string(i));
+    for (int i = 0; i < 100; i += 2) table.Release("ctl:rpp" + std::to_string(i));
+
+    // Views into a larger buffer, as the socket path parses them out of
+    // a wire frame: no terminating NUL, no std::string.
+    const std::string frame = "[ctl:rpp41][ctl:rpp42][ctl:rpp4]";
+    const std::string_view buffer(frame);
+    EXPECT_EQ(table.Find(buffer.substr(1, 9)), 41u);
+    EXPECT_EQ(table.Find(buffer.substr(12, 9)), kInvalidEndpoint);
+    EXPECT_EQ(table.Find(buffer.substr(23, 8)), kInvalidEndpoint);
+    EXPECT_EQ(table.Find(buffer.substr(1, 8)), kInvalidEndpoint);  // "ctl:rpp4"
+    for (int i = 1; i < 100; i += 2) {
+        EXPECT_EQ(table.Find("ctl:rpp" + std::to_string(i)),
+                  static_cast<EndpointId>(i));
+    }
+}
+
+TEST(EndpointTable, NameReferenceSurvivesLaterInterning)
+{
+    EndpointTable table;
+    const EndpointId id = table.Intern("agent:a-name-longer-than-sso");
+    const std::string& name = table.Name(id);
+    const std::string* address = &name;
+    for (int i = 0; i < 10000; ++i) table.Intern("agent:" + std::to_string(i));
+    EXPECT_EQ(&table.Name(id), address);
+    EXPECT_EQ(name, "agent:a-name-longer-than-sso");
 }
 
 /** A test value carried in an api message (TuneEstimate's ratio). */

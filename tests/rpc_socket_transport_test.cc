@@ -11,6 +11,8 @@
  *     out in issue order;
  *   - closing the peer fails every open call with "connection failed",
  *     in issue order;
+ *   - a bad header behind good replies costs none of them, and fails
+ *     the remaining calls in the same pass;
  *   - pending_calls() returns to 0 after each.
  */
 #include <gtest/gtest.h>
@@ -274,6 +276,43 @@ TEST_F(SocketTransportTest, ClosingThePeerFailsOpenCallsInIssueOrder)
     }
     EXPECT_EQ(client_.calls_errored(), kCalls);
     EXPECT_EQ(client_.calls_timed_out(), 0u);
+}
+
+TEST_F(SocketTransportTest, GarbageAfterGoodRepliesFailsTheRestInTheSamePass)
+{
+    PeerListen();
+    constexpr std::size_t kCalls = 3;
+    for (std::size_t i = 0; i < kCalls; ++i) Issue(static_cast<double>(i));
+    const std::vector<wire::Frame> requests = PeerRead(kCalls);
+    ASSERT_EQ(requests.size(), kCalls);
+
+    // One write: replies to the first two calls, then a bad header.
+    std::string bytes;
+    for (std::size_t i = 0; i < 2; ++i) {
+        wire::Frame reply;
+        reply.kind = wire::FrameKind::kResponse;
+        reply.type = requests[i].type;
+        reply.call_id = requests[i].call_id;
+        reply.payload = requests[i].payload;
+        bytes += wire::EncodeFrame(reply);
+    }
+    bytes += "XXXXXXXX";
+    ASSERT_EQ(::write(peer_fd_, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+
+    // The pass that reads the bytes dispatches both replies and fails
+    // the connection, so the third call needs no further input.
+    ASSERT_TRUE(PumpUntil([&] { return !completion_order_.empty(); },
+                          {&client_}));
+    ASSERT_EQ(completion_order_.size(), kCalls);
+    EXPECT_EQ(client_.pending_calls(), 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(outcomes_[i].ok) << "call " << i;
+        EXPECT_EQ(outcomes_[i].value, static_cast<double>(i));
+    }
+    EXPECT_EQ(outcomes_[2].error, kConnectionFailed);
+    EXPECT_EQ(client_.calls_succeeded(), 2u);
+    EXPECT_EQ(client_.calls_errored(), 1u);
 }
 
 }  // namespace

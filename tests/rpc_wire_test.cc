@@ -484,5 +484,65 @@ TEST(WireReader, BadMagicAfterGoodFramesReportsItsStreamOffset)
     EXPECT_TRUE(reader.poisoned());
 }
 
+TEST(WireReader, GoodFramesBeforeGarbageAreDeliveredFirst)
+{
+    // Two good frames and a bad header arrive in one read. Both frames
+    // come out; the garbage is reported by the next call, at its own
+    // stream offset.
+    Frame first = SampleFrame();
+    first.call_id = 1;
+    Frame second = SampleFrame();
+    second.call_id = 2;
+    const std::string good = EncodeFrame(first) + EncodeFrame(second);
+
+    FrameReader reader;
+    reader.Feed(good + "XXXXXXXX");
+    ASSERT_TRUE(reader.HasFrame());
+    EXPECT_EQ(reader.Next().call_id, 1u);
+    ASSERT_TRUE(reader.HasFrame());
+    EXPECT_EQ(reader.NextView().call_id, 2u);
+    EXPECT_EQ(reader.bytes_consumed(), good.size());
+
+    // HasFrame stays true so a dispatch loop reaches the error in the
+    // same pass instead of waiting for more input.
+    ASSERT_TRUE(reader.HasFrame());
+    try {
+        reader.NextView();
+        FAIL() << "bad magic accepted";
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.offset(), good.size());
+        EXPECT_NE(std::string(e.what()).find("bad magic on stream"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(reader.poisoned());
+    EXPECT_FALSE(reader.HasFrame());
+    EXPECT_THROW(reader.Feed(EncodeFrame(first)), WireError);
+}
+
+TEST(WireReader, DeferredHeaderErrorIsThrownByTheNextFeed)
+{
+    std::string bytes = EncodeFrame(SampleFrame());
+    const std::size_t good = bytes.size();
+    const std::uint32_t magic = kWireMagic;
+    const std::uint32_t absurd = kMaxFrameBytes + 1;
+    bytes.append(reinterpret_cast<const char*>(&magic), 4);
+    bytes.append(reinterpret_cast<const char*>(&absurd), 4);
+
+    FrameReader reader;
+    reader.Feed(bytes);
+    EXPECT_EQ(reader.Next().target, "agent:sb0/rpp0/s4");
+    try {
+        reader.Feed("more");
+        FAIL() << "oversized frame length accepted";
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.offset(), good + 4);
+        EXPECT_NE(std::string(e.what()).find("frame length"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(reader.poisoned());
+}
+
 }  // namespace
 }  // namespace dynamo::rpc::wire
