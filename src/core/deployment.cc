@@ -122,12 +122,13 @@ DeploymentBuilder::Build(sim::Simulation& sim, rpc::Transport& transport,
 {
     auto deployment = std::make_unique<Deployment>();
     deployment->traces_ = telemetry::TraceLog(config.trace_capacity);
+    deployment->endpoints_ = &transport.endpoints();
 
     // Agents for every server anywhere under the root.
     for (server::SimServer* srv : ServersUnder(root)) {
         auto agent = std::make_unique<DynamoAgent>(
             sim, transport, *srv, Deployment::AgentEndpoint(srv->name()));
-        deployment->agent_by_endpoint_[agent->endpoint()] = agent.get();
+        deployment->IndexAgent(agent.get());
         deployment->agents_.push_back(std::move(agent));
     }
 
@@ -199,11 +200,21 @@ AgentInfoFor(const server::SimServer& server)
     return info;
 }
 
+void
+Deployment::IndexAgent(DynamoAgent* agent)
+{
+    const rpc::EndpointId id = agent->endpoint_id();
+    if (agent_by_id_.size() <= id) agent_by_id_.resize(id + 1, nullptr);
+    agent_by_id_[id] = agent;
+}
+
 DynamoAgent*
 Deployment::FindAgent(const std::string& endpoint)
 {
-    const auto it = agent_by_endpoint_.find(endpoint);
-    return it == agent_by_endpoint_.end() ? nullptr : it->second;
+    if (endpoints_ == nullptr) return nullptr;
+    // kInvalidEndpoint is past the end of any vector.
+    const rpc::EndpointId id = endpoints_->Find(endpoint);
+    return id < agent_by_id_.size() ? agent_by_id_[id] : nullptr;
 }
 
 LeafController*
@@ -263,7 +274,7 @@ Deployment::AdoptServer(sim::Simulation& sim, rpc::Transport& transport,
     DynamoAgent* raw = agent.get();
     if (telemetry_wired_) raw->AttachMetrics(&metrics_);
     if (watchdog_) watchdog_->Watch(raw);
-    agent_by_endpoint_[raw->endpoint()] = raw;
+    IndexAgent(raw);
     agents_.push_back(std::move(agent));
     return raw;
 }
@@ -272,21 +283,21 @@ bool
 Deployment::RemoveAgent(const std::string& endpoint,
                         rpc::Transport& transport)
 {
-    const auto it = agent_by_endpoint_.find(endpoint);
-    if (it == agent_by_endpoint_.end()) return false;
-    DynamoAgent* agent = it->second;
+    const rpc::EndpointId id = transport.endpoints().Find(endpoint);
+    if (id >= agent_by_id_.size() || agent_by_id_[id] == nullptr) return false;
+    DynamoAgent* agent = agent_by_id_[id];
     // Off the watchdog roster first: a watchdog check between Crash
     // and destruction would otherwise resurrect the agent.
     if (watchdog_) watchdog_->Unwatch(agent);
     agent->Crash();
-    agent_by_endpoint_.erase(it);
+    agent_by_id_[id] = nullptr;
     for (auto vec_it = agents_.begin(); vec_it != agents_.end(); ++vec_it) {
         if (vec_it->get() == agent) {
             agents_.erase(vec_it);
             break;
         }
     }
-    transport.Deregister(endpoint);
+    transport.Deregister(id);
     return true;
 }
 

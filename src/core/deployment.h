@@ -132,7 +132,8 @@ class Deployment
     /** Early-warning monitor; nullptr unless configured. */
     EarlyWarningMonitor* early_warning() { return early_warning_.get(); }
 
-    /** Agent by endpoint ("agent:<server>"); nullptr if absent. */
+    /** Agent by endpoint ("agent:<server>"); nullptr if absent. The
+     *  name resolves through the transport's intern table. */
     DynamoAgent* FindAgent(const std::string& endpoint);
 
     /** Leaf controller by endpoint ("ctl:<device>"); nullptr if absent. */
@@ -214,6 +215,9 @@ class Deployment
   private:
     friend class DeploymentBuilder;
 
+    /** File `agent` under its endpoint id in agent_by_id_. */
+    void IndexAgent(DynamoAgent* agent);
+
     telemetry::EventLog log_;
     telemetry::MetricsRegistry metrics_;
     telemetry::TraceLog traces_;
@@ -233,7 +237,12 @@ class Deployment
 
     std::unique_ptr<Watchdog> watchdog_;
     std::unique_ptr<EarlyWarningMonitor> early_warning_;
-    std::unordered_map<std::string, DynamoAgent*> agent_by_endpoint_;
+
+    /** The transport's intern table: the only copy of agent names. */
+    const rpc::EndpointTable* endpoints_ = nullptr;
+
+    /** Agent per EndpointId; nullptr where the id names no agent. */
+    std::vector<DynamoAgent*> agent_by_id_;
     std::unordered_map<std::string, LeafController*> leaf_by_endpoint_;
     std::unordered_map<std::string, UpperController*> upper_by_endpoint_;
 

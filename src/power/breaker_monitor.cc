@@ -17,18 +17,40 @@ BreakerMonitor::Tick()
     last_tick_ = now;
     if (dt <= 0) return;
 
-    // Integrate bottom-up so a child's trip this tick zeroes its
-    // contribution to ancestors on the next tick (physical breakers do
-    // not all react in the same instant either).
+    // Sum every draw once, bottom-up, then advance the breakers
+    // top-down. A trip zeroes the draw below it at once, but its
+    // ancestors keep this tick's draw and see the loss on the next
+    // tick (physical breakers do not all react in the same instant
+    // either).
+    draws_.clear();
+    SumDraws(root_, !root_.IsEnergized(), now);
+    std::size_t next = 0;
     root_.ForEach([&](PowerDevice& device) {
+        const Watts draw = draws_[next++];
         if (device.breaker().tripped()) return;
-        const Watts draw = device.TotalPower(now);
-        if (device.breaker().Advance(draw, dt)) {
+        if (device.breaker().Advance(device.IsEnergized() ? draw : 0.0, dt)) {
             ++trip_count_;
             NotifyLostRespectingBatteries(device, now);
             if (on_trip_) on_trip_(device, now);
         }
     });
+}
+
+Watts
+BreakerMonitor::SumDraws(PowerDevice& device, bool dark, SimTime now)
+{
+    const std::size_t slot = draws_.size();
+    draws_.push_back(0.0);
+    dark = dark || device.breaker().tripped();
+    Watts total = 0.0;
+    if (!dark) {
+        for (PowerLoad* load : device.loads()) total += load->PowerAt(now);
+    }
+    for (const auto& child : device.children()) {
+        total += SumDraws(*child, dark, now);
+    }
+    draws_[slot] = total;
+    return total;
 }
 
 void

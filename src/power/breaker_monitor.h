@@ -47,6 +47,15 @@ class BreakerMonitor
     void Tick();
 
     /**
+     * Append the draw of `device` and of every device below it to
+     * draws_, in pre-order, and return the device's draw. Each load is
+     * read once and the sums run in TotalPower's order, so every draw
+     * equals TotalPower's. A subtree that is `dark` or under a tripped
+     * breaker draws 0, and its loads are not read.
+     */
+    Watts SumDraws(PowerDevice& device, bool dark, SimTime now);
+
+    /**
      * Propagate power loss to a tripped device's loads, honoring
      * DCUPS battery ride-through on battery-backed subtrees.
      */
@@ -59,6 +68,9 @@ class BreakerMonitor
     std::size_t trip_count_ = 0;
     TripCallback on_trip_;
     sim::TaskHandle task_;
+
+    /** Each device's draw this tick, in pre-order (reused scratch). */
+    std::vector<Watts> draws_;
 };
 
 }  // namespace dynamo::power

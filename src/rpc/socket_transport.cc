@@ -181,23 +181,29 @@ void
 SocketTransport::AddRoute(const std::string& endpoint,
                           const SocketAddress& address)
 {
-    routes_[endpoint] = address;
+    const EndpointId id = endpoints_.Intern(endpoint);
+    auto peer = std::find(peers_.begin(), peers_.end(), address);
+    if (peer == peers_.end()) peer = peers_.insert(peer, address);
+    if (routes_.size() <= id) routes_.resize(id + 1, kNoPeer);
+    routes_[id] = static_cast<std::uint32_t>(peer - peers_.begin());
 }
 
 void
-SocketTransport::RemoveRoute(const std::string& endpoint)
+SocketTransport::Deregister(EndpointId id)
 {
-    routes_.erase(endpoint);
+    if (id < routes_.size()) routes_[id] = kNoPeer;
+    Transport::Deregister(id);
 }
 
 SocketTransport::Connection*
-SocketTransport::ConnectionFor(const SocketAddress& address)
+SocketTransport::ConnectionTo(EndpointId id)
 {
+    const std::uint32_t peer = id < routes_.size() ? routes_[id] : kNoPeer;
+    if (peer == kNoPeer) return nullptr;
     for (Connection& conn : connections_) {
-        if (conn.fd >= 0 && !conn.inbound && conn.peer == address) {
-            return &conn;
-        }
+        if (conn.fd >= 0 && conn.peer == peer) return &conn;
     }
+    const SocketAddress& address = peers_[peer];
     const int fd = ::socket(DomainOf(address), SOCK_STREAM, 0);
     if (fd < 0) return nullptr;
     SetNonBlocking(fd);
@@ -215,7 +221,7 @@ SocketTransport::ConnectionFor(const SocketAddress& address)
     }
     Connection conn;
     conn.fd = fd;
-    conn.peer = address;
+    conn.peer = peer;
     const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&ss), len);
     if (rc < 0 && errno != EINPROGRESS) {
         // Prompt refusal (common for unix sockets with no listener):
@@ -323,10 +329,7 @@ SocketTransport::Call(EndpointId id, Payload request, Completion done,
         return;
     }
 
-    const std::string& name = endpoints_.Name(id);
-    const auto route = routes_.find(name);
-    Connection* conn =
-        route == routes_.end() ? nullptr : ConnectionFor(route->second);
+    Connection* conn = ConnectionTo(id);
     if (conn == nullptr) {
         // No route / no socket: prompt failure at the next poll pass
         // (never re-entrant from Call).
@@ -339,7 +342,7 @@ SocketTransport::Call(EndpointId id, Payload request, Completion done,
         std::move(done), std::chrono::steady_clock::now() +
                              std::chrono::milliseconds(timeout_ms));
     wire::AppendFrame(conn->write_buffer, wire::FrameKind::kRequest,
-                      options_.epoch, call_id, name, &request);
+                      options_.epoch, call_id, endpoints_.Name(id), &request);
 }
 
 std::size_t
@@ -354,17 +357,15 @@ SocketTransport::CallBatch(std::vector<BatchItem> batch)
                 LocalCall{item.target, std::move(item.payload), {}, true});
             continue;
         }
-        const std::string& name = endpoints_.Name(item.target);
-        const auto route = routes_.find(name);
-        Connection* conn =
-            route == routes_.end() ? nullptr : ConnectionFor(route->second);
+        Connection* conn = ConnectionTo(item.target);
         if (conn == nullptr) {
             CountError();
             continue;
         }
         // Call id 0 is fire-and-forget: the peer skips the response.
         wire::AppendFrame(conn->write_buffer, wire::FrameKind::kRequest,
-                          options_.epoch, 0, name, &item.payload);
+                          options_.epoch, 0, endpoints_.Name(item.target),
+                          &item.payload);
         // Best-effort delivery counts as ok at queue time; a torn
         // connection later cannot retroactively fail a forgotten call.
         CountOk();
@@ -610,7 +611,6 @@ SocketTransport::PollOnce(int budget_ms)
             SetNonBlocking(fd);
             Connection conn;
             conn.fd = fd;
-            conn.inbound = true;
             connections_.push_back(std::move(conn));
         }
     }

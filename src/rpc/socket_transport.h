@@ -11,11 +11,13 @@
  *
  * Structure:
  *
- *   - **Routes**: a call targets an endpoint *name* (e.g.
- *     "agent:sb0/rpp0/s3"); `AddRoute` maps names to peer addresses.
- *     Endpoints registered locally are served in-process (loopback),
- *     matching SimTransport, so a daemon hosting several components
- *     needs no special casing.
+ *   - **Routes**: `AddRoute` maps an endpoint name (e.g.
+ *     "agent:sb0/rpp0/s3") to a peer address. It interns the name, so
+ *     a call finds its route by `EndpointId`, an index into a table
+ *     of distinct peers; the name is only copied into the request
+ *     frame. Endpoints registered locally are served in-process
+ *     (loopback), matching SimTransport, so a daemon hosting several
+ *     components needs no special casing.
  *   - **Connections**: one multiplexed, lazily-dialed, nonblocking
  *     connection per peer address, carrying wire::Frame streams in
  *     both directions; call_ids pair responses with requests.
@@ -47,7 +49,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -109,11 +110,17 @@ class SocketTransport final : public Transport
     /** The bound listen address (for specs with port 0 — TCP only). */
     const SocketAddress& listen_address() const { return listen_address_; }
 
-    /** Map an endpoint name to the peer daemon serving it. */
+    /**
+     * Map an endpoint name to the peer daemon serving it, replacing
+     * any earlier route of the name. Interns the name, so the route
+     * holds whether or not the name was called before.
+     */
     void AddRoute(const std::string& endpoint, const SocketAddress& address);
 
-    /** Remove a route (e.g. after a decommission). */
-    void RemoveRoute(const std::string& endpoint);
+    /** Transport::Deregister, dropping the endpoint's route first, so
+     *  a later tenant of the recycled id does not inherit it. */
+    void Deregister(EndpointId id) override;
+    using Transport::Deregister;
 
     /**
      * One event-loop pass: accept, connect-complete, read, write,
@@ -214,20 +221,23 @@ class SocketTransport final : public Transport
         Deadline earliest_ = Deadline::max();
     };
 
+    /** No route (in routes_), or an accepted connection (peer). */
+    static constexpr std::uint32_t kNoPeer = 0xffffffffu;
+
     struct Connection
     {
         int fd = -1;
         bool connecting = false;   // nonblocking connect in flight
-        bool inbound = false;      // accepted, not dialed
-        SocketAddress peer;        // dial target (outbound only)
+        std::uint32_t peer = kNoPeer;  // dialed: index into peers_
         wire::FrameReader reader;
         std::string write_buffer;  // frames are encoded straight into it
         PendingTable pending;
         Deadline connect_deadline;
     };
 
-    /** Find or dial the connection for a peer address. */
-    Connection* ConnectionFor(const SocketAddress& address);
+    /** Find or dial the connection to the peer `id` is routed to;
+     *  nullptr when it has no route or no socket could be made. */
+    Connection* ConnectionTo(EndpointId id);
 
     /** Drain readable bytes of connections_[index]; dispatch complete
      *  frames. Returns false when the connection died (caller must
@@ -257,9 +267,13 @@ class SocketTransport final : public Transport
     int listen_fd_ = -1;
     SocketAddress listen_address_;
 
-    /** Endpoint name → peer address (names, not ids: routes can be
-     *  added before the endpoint is ever interned by a call). */
-    std::map<std::string, SocketAddress> routes_;
+    /** The distinct addresses routes lead to. */
+    std::vector<SocketAddress> peers_;
+
+    /** Route per EndpointId: an index into peers_, or kNoPeer.
+     *  AddRoute interns the name, so a route exists before the name
+     *  is first called; Deregister clears it with the name. */
+    std::vector<std::uint32_t> routes_;
 
     std::vector<Connection> connections_;
 

@@ -5,6 +5,7 @@
 #include <variant>
 
 #include "common/archive.h"
+#include "common/xxh64.h"
 #include "core/api.h"
 
 namespace dynamo::rpc::wire {
@@ -193,8 +194,7 @@ SealFrame(std::string& out, std::size_t start)
 {
     PatchLe(out, start + 4, out.size() - start + 8, 4);
     // The digest covers everything before it, length field included.
-    const std::uint64_t digest =
-        Fnv1a64(std::string_view(out).substr(start));
+    const std::uint64_t digest = Xxh64(std::string_view(out).substr(start));
     out.resize(out.size() + 8);
     PatchLe(out, out.size() - 8, digest, 8);
 }
@@ -376,7 +376,7 @@ ParseFrame(std::string_view bytes)
     ArchiveReader tail(bytes.substr(bytes.size() - 8));
     const std::uint64_t stored_digest = tail.U64();
     const std::uint64_t computed_digest =
-        Fnv1a64(bytes.substr(0, bytes.size() - 8));
+        Xxh64(bytes.substr(0, bytes.size() - 8));
     if (stored_digest != computed_digest) {
         throw WireError("frame digest mismatch (corrupted frame)",
                         bytes.size() - 8);
@@ -514,9 +514,9 @@ FrameReader::NextView()
     FrameView frame;
     try {
         frame = ParseFrame(Unread().substr(0, frame_len));
-    } catch (const WireError&) {
+    } catch (const WireError& e) {
         poisoned_ = true;
-        throw;
+        throw e.Shifted(consumed_);
     }
     head_ += frame_len;
     consumed_ += frame_len;

@@ -12,18 +12,19 @@
  *     (fixed little-endian widths, length-prefixed strings), so
  *     serialize→parse→serialize is a byte-identical fixed point,
  *     mirroring the fleet-spec round-trip invariant;
- *   - every frame is integrity-checked: a trailing FNV-1a digest over
- *     the frame body catches bit flips, and explicit length fields
- *     catch truncation. A torn, short, or corrupted frame decodes to a
- *     thrown WireError naming the byte offset and what failed — never
- *     to UB or a silently wrong message.
+ *   - every frame is integrity-checked: a trailing XXH64 digest
+ *     (common/xxh64.h) over the rest of the frame catches bit flips,
+ *     and explicit length fields catch truncation. A torn, short, or
+ *     corrupted frame decodes to a thrown WireError naming the byte
+ *     offset and what failed — never to UB or a silently wrong
+ *     message.
  *
  * Frame layout (all integers little-endian):
  *
  *   offset  size  field
  *   0       4     magic "DYNW" (0x57 0x4e 0x59 0x44 on the wire)
  *   4       4     frame_len: total frame size in bytes, magic included
- *   8       4     api version (kWireVersion; currently 1)
+ *   8       4     api version (kWireVersion; currently 2)
  *   12      1     message type (MessageType)
  *   13      1     frame kind (FrameKind: request / response / error)
  *   14      8     epoch (fleet-spec epoch observed by the sender)
@@ -31,7 +32,7 @@
  *   30      8+n   target: length-prefixed endpoint name (requests),
  *                 empty for responses; error reason for error frames
  *   ...     8+m   payload: length-prefixed encoded api message body
- *   end-8   8     FNV-1a digest of bytes [0, end-8)
+ *   end-8   8     XXH64 digest (seed 0) of bytes [0, end-8)
  *
  * `frame_len` makes the format self-framing on a byte stream: a
  * FrameReader needs only the first 8 bytes to know how much to wait
@@ -52,13 +53,19 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "rpc/payload.h"
 
 namespace dynamo::rpc::wire {
 
-/** Wire protocol version; bumped on any frame- or body-layout change. */
-inline constexpr std::uint32_t kWireVersion = 1;
+/**
+ * Wire protocol version; bumped on any change to the frame or body
+ * layout or to the digest. Version 2 seals frames with XXH64 instead
+ * of version 1's FNV-1a; there is no v1 path, so a v1 frame fails the
+ * digest check like any corrupt frame.
+ */
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /** "DYNW" read as a little-endian u32. */
 inline constexpr std::uint32_t kWireMagic = 0x574e5944u;
@@ -114,13 +121,22 @@ class WireError : public std::runtime_error
     WireError(std::string what, std::size_t offset)
         : std::runtime_error("wire: " + what + " (at byte offset " +
                              std::to_string(offset) + ")"),
+          reason_(std::move(what)),
           offset_(offset)
     {
     }
 
     std::size_t offset() const { return offset_; }
 
+    /** The same error `base` bytes further on: a frame's error placed
+     *  in the stream the frame was cut from. */
+    WireError Shifted(std::size_t base) const
+    {
+        return WireError(reason_, base + offset_);
+    }
+
   private:
+    std::string reason_;
     std::size_t offset_ = 0;
 };
 
@@ -218,7 +234,8 @@ Frame DecodeFrame(std::string_view bytes);
  * absurd length) is detected without waiting for more bytes; after a
  * throw the reader is permanently poisoned and the connection must be
  * dropped (stream sync cannot be re-established mid-garbage). Error
- * offsets are stream offsets: bytes consumed before the bad frame.
+ * offsets are stream offsets: the bytes consumed before the bad frame
+ * plus the failing field's offset within it.
  *
  * Frames are consumed by moving an offset; the consumed prefix is
  * dropped once per Feed, so taking a frame never moves the rest of

@@ -103,6 +103,41 @@ TEST(Deployment, AgentsServeReads)
     EXPECT_GT(agent->reads_served(), 0u);
 }
 
+TEST(Deployment, FindsAgentsByEndpointThroughRemoveAndAdopt)
+{
+    Rig rig;
+    DeploymentConfig config;
+    auto deployment =
+        BuildDeployment(rig.sim, rig.transport, *rig.root, config);
+    for (const auto& server : rig.servers) {
+        DynamoAgent* agent =
+            deployment->FindAgent(Deployment::AgentEndpoint(server->name()));
+        ASSERT_NE(agent, nullptr) << server->name();
+        EXPECT_EQ(&agent->server(), server.get());
+    }
+    // An interned name that is no agent's, and a name never interned.
+    EXPECT_EQ(deployment->FindAgent("ctl:msb0"), nullptr);
+    EXPECT_EQ(deployment->FindAgent("agent:nope"), nullptr);
+
+    const rpc::EndpointId id =
+        deployment->FindAgent("agent:srv0")->endpoint_id();
+    ASSERT_TRUE(deployment->RemoveAgent("agent:srv0", rig.transport));
+    EXPECT_EQ(deployment->FindAgent("agent:srv0"), nullptr);
+    EXPECT_FALSE(deployment->RemoveAgent("agent:srv0", rig.transport));
+
+    // A newly provisioned server takes the released id.
+    server::SimServer::Config fresh;
+    fresh.name = "srv_new";
+    server::SimServer server(
+        fresh, workload::LoadProcessParams::For(fresh.service));
+    DynamoAgent* adopted =
+        deployment->AdoptServer(rig.sim, rig.transport, server);
+    EXPECT_EQ(adopted->endpoint_id(), id);
+    EXPECT_EQ(deployment->FindAgent("agent:srv_new"), adopted);
+    EXPECT_EQ(deployment->FindAgent("agent:srv0"), nullptr);
+    EXPECT_EQ(deployment->agents().size(), rig.servers.size());
+}
+
 TEST(Deployment, WatchdogCoversAllAgents)
 {
     Rig rig;

@@ -13,23 +13,30 @@
 namespace dynamo::power {
 namespace {
 
-/** A load whose draw the test can change and that records outages. */
+/** A load whose draw the test can change and that records reads and
+ *  outages. */
 class TestLoad : public PowerLoad
 {
   public:
     explicit TestLoad(Watts draw) : draw_(draw) {}
 
-    Watts PowerAt(SimTime) override { return draw_; }
+    Watts PowerAt(SimTime) override
+    {
+        ++reads_;
+        return draw_;
+    }
     bool Cappable() const override { return true; }
     void OnPowerLost(SimTime) override { ++lost_; }
     void OnPowerRestored(SimTime) override { ++restored_; }
 
     void set_draw(Watts w) { draw_ = w; }
+    int reads() const { return reads_; }
     int lost() const { return lost_; }
     int restored() const { return restored_; }
 
   private:
     Watts draw_;
+    int reads_ = 0;
     int lost_ = 0;
     int restored_ = 0;
 };
@@ -195,6 +202,37 @@ TEST(BreakerMonitor, ChildTripShedsLoadFromParent)
     EXPECT_DOUBLE_EQ(sb.TotalPower(sim.Now()), 400.0);
 }
 
+TEST(BreakerMonitor, ReadsEachLoadOncePerTickAndNoneUnderATrip)
+{
+    sim::Simulation sim;
+    PowerDevice sb("sb", DeviceLevel::kSb, 5000.0, 5000.0);
+    auto* rpp_hot = sb.AddChild(
+        std::make_unique<PowerDevice>("hot", DeviceLevel::kRpp, 500.0, 500.0));
+    auto* rpp_ok = sb.AddChild(
+        std::make_unique<PowerDevice>("ok", DeviceLevel::kRpp, 2000.0, 2000.0));
+    auto* rack = rpp_ok->AddChild(std::make_unique<PowerDevice>(
+        "rack", DeviceLevel::kRack, 1000.0, 1000.0));
+    TestLoad direct(100.0);  // on the SB itself: one read per tick
+    TestLoad deep(300.0);    // three breakers above it
+    TestLoad hot(900.0);     // trips its RPP
+    sb.AttachLoad(&direct);
+    rack->AttachLoad(&deep);
+    rpp_hot->AttachLoad(&hot);
+
+    BreakerMonitor monitor(sim, sb, Seconds(1));
+    sim.RunFor(Minutes(5));
+    ASSERT_TRUE(rpp_hot->breaker().tripped());
+    ASSERT_GT(direct.reads(), 0);
+    EXPECT_EQ(deep.reads(), direct.reads());
+
+    // A dark subtree's loads are not read at all.
+    const int hot_reads = hot.reads();
+    EXPECT_LT(hot_reads, direct.reads());
+    sim.RunFor(Minutes(1));
+    EXPECT_EQ(hot.reads(), hot_reads);
+    EXPECT_EQ(deep.reads(), direct.reads());
+    EXPECT_DOUBLE_EQ(sb.TotalPower(sim.Now()), 400.0);
+}
 
 TEST(Dcups, BatteryRideThroughDelaysDarkness)
 {

@@ -13,6 +13,10 @@
  *     in issue order;
  *   - a bad header behind good replies costs none of them, and fails
  *     the remaining calls in the same pass;
+ *   - routes are keyed by endpoint id: a route added before its name
+ *     was ever called holds, and Deregister drops the route with the
+ *     name, so a new name on the recycled id fails promptly instead of
+ *     dialing the old peer;
  *   - pending_calls() returns to 0 after each.
  */
 #include <gtest/gtest.h>
@@ -68,14 +72,15 @@ class SocketTransportTest : public ::testing::Test
         ::rmdir(dir_.c_str());
     }
 
-    /** Call "peer" with a TuneEstimate carrying `value`; the outcome
-     *  lands in outcomes_ at the call's issue index. */
-    void Issue(double value, SimTime timeout_ms = 1000)
+    /** Call `target` with a TuneEstimate carrying `value`; the
+     *  outcome lands in outcomes_ at the call's issue index. */
+    void Issue(double value, SimTime timeout_ms = 1000,
+               const std::string& target = "peer")
     {
         const std::size_t index = outcomes_.size();
         outcomes_.emplace_back();
         client_.Call(
-            "peer", api::TuneEstimate{value},
+            target, api::TuneEstimate{value},
             [this, index](const Reply& reply) {
                 Outcome& outcome = outcomes_[index];
                 ++outcome.completions;
@@ -313,6 +318,42 @@ TEST_F(SocketTransportTest, GarbageAfterGoodRepliesFailsTheRestInTheSamePass)
     EXPECT_EQ(outcomes_[2].error, kConnectionFailed);
     EXPECT_EQ(client_.calls_succeeded(), 2u);
     EXPECT_EQ(client_.calls_errored(), 1u);
+}
+
+TEST_F(SocketTransportTest, RouteAddedBeforeTheNameIsKnownHolds)
+{
+    SocketTransport server;
+    server.Listen(address_);
+    server.Register("late", [](const Payload& request) { return request; });
+
+    // Never called or resolved: AddRoute interns the name itself.
+    ASSERT_EQ(client_.endpoints().Find("late"), kInvalidEndpoint);
+    client_.AddRoute("late", address_);
+    Issue(7.0, 1000, "late");
+    ASSERT_TRUE(PumpUntil([&] { return outcomes_[0].completions > 0; },
+                          {&server, &client_}));
+    EXPECT_TRUE(outcomes_[0].ok) << outcomes_[0].error;
+    EXPECT_EQ(outcomes_[0].value, 7.0);
+}
+
+TEST_F(SocketTransportTest, RecycledIdDoesNotDialADeregisteredRoute)
+{
+    // A live peer listens at the old route's address, so a call that
+    // followed the route would connect and wait instead of failing.
+    PeerListen();
+    const EndpointId old_id = client_.Resolve("peer");
+    client_.Deregister("peer");
+    ASSERT_EQ(client_.Resolve("newcomer"), old_id);
+
+    Issue(1.0, 200, "newcomer");
+    client_.PollOnce(0);
+    ASSERT_EQ(outcomes_[0].completions, 1) << "not failed in the first pass";
+    EXPECT_EQ(outcomes_[0].error, kConnectionFailed);
+    EXPECT_EQ(client_.calls_errored(), 1u);
+    EXPECT_EQ(client_.pending_calls(), 0u);
+    // No connection ever reached the old peer.
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 50), 0);
 }
 
 }  // namespace

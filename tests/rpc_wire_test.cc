@@ -20,7 +20,9 @@
 #include <variant>
 #include <vector>
 
+#include "common/archive.h"
 #include "common/rng.h"
+#include "common/xxh64.h"
 #include "core/api.h"
 #include "rpc/wire.h"
 
@@ -256,7 +258,7 @@ TEST(WireFrame, EveryBitFlipIsDetected)
                          std::to_string(bit));
             // Any single-bit flip must be rejected: header fields are
             // each explicitly validated, and everything else is under
-            // the trailing FNV-1a digest.
+            // the trailing digest.
             EXPECT_THROW(DecodeFrame(bytes), WireError);
         }
     }
@@ -363,6 +365,59 @@ TEST(WireFrame, ParseFrameViewsTheFrameBytes)
     EXPECT_EQ(view.target.data(), bytes.data() + kFrameFixedHeaderBytes + 8);
     EXPECT_EQ(view.payload.data(),
               view.target.data() + view.target.size() + 8);
+}
+
+/** The little-endian u64 trailer of a frame. */
+std::uint64_t Trailer(std::string_view frame)
+{
+    return ArchiveReader(frame.substr(frame.size() - 8)).U64();
+}
+
+/** `frame` as wire version 1 sealed it: version 1, FNV-1a trailer. */
+std::string AsVersionOne(std::string frame)
+{
+    frame[8] = 1;
+    frame[9] = frame[10] = frame[11] = 0;
+    const std::size_t end = frame.size() - 8;
+    const std::uint64_t digest =
+        Fnv1a64(std::string_view(frame).substr(0, end));
+    for (std::size_t i = 0; i < 8; ++i) {
+        frame[end + i] = static_cast<char>(digest >> (8 * i));
+    }
+    return frame;
+}
+
+TEST(WireFrame, TrailerIsXxh64OfEveryPrecedingByte)
+{
+    const Payload read = SampleMessages()[1];
+    std::string queued = "bytes already queued";
+    const std::size_t start = queued.size();
+    AppendFrame(queued, FrameKind::kResponse, 3, 1, "", &read);
+    for (const std::string& frame :
+         {EncodeFrame(SampleFrame()), queued.substr(start)}) {
+        ArchiveReader header(frame);
+        EXPECT_EQ(header.U32(), kWireMagic);
+        EXPECT_EQ(header.U32(), frame.size());
+        EXPECT_EQ(header.U32(), 2u);
+        // frame_len and the version are under the digest too.
+        EXPECT_EQ(Trailer(frame),
+                  Xxh64(std::string_view(frame).substr(0, frame.size() - 8)));
+    }
+}
+
+TEST(WireFrame, VersionOneFrameIsRefused)
+{
+    const std::string v1 = AsVersionOne(EncodeFrame(SampleFrame()));
+    try {
+        (void)ParseFrame(v1);
+        FAIL() << "v1 frame accepted";
+    } catch (const WireError& e) {
+        // There is no v1 path: an FNV-1a trailer is a corrupt digest.
+        EXPECT_EQ(e.offset(), v1.size() - 8);
+        EXPECT_NE(std::string(e.what()).find("digest mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(WireReader, ReassemblesFramesUnderArbitraryChunking)
@@ -518,6 +573,30 @@ TEST(WireReader, GoodFramesBeforeGarbageAreDeliveredFirst)
     EXPECT_TRUE(reader.poisoned());
     EXPECT_FALSE(reader.HasFrame());
     EXPECT_THROW(reader.Feed(EncodeFrame(first)), WireError);
+}
+
+TEST(WireReader, VersionOneFrameIsRefusedAtItsStreamOffset)
+{
+    // A v1 peer's frame behind a v2 one: the v2 frame comes out, and
+    // the v1 frame fails at its trailer's offset in the stream.
+    const std::string good = EncodeFrame(SampleFrame());
+    const std::string v1 = AsVersionOne(good);
+    FrameReader reader;
+    reader.Feed(good + v1);
+    ASSERT_TRUE(reader.HasFrame());
+    EXPECT_EQ(reader.Next().target, "agent:sb0/rpp0/s4");
+    ASSERT_TRUE(reader.HasFrame());
+    try {
+        (void)reader.NextView();
+        FAIL() << "v1 frame accepted";
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.offset(), good.size() + v1.size() - 8);
+        EXPECT_NE(std::string(e.what()).find("digest mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(reader.poisoned());
+    EXPECT_EQ(reader.bytes_consumed(), good.size());
 }
 
 TEST(WireReader, DeferredHeaderErrorIsThrownByTheNextFeed)
