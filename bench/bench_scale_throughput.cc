@@ -2,51 +2,49 @@
  * @file
  * Fleet-scale control-plane throughput benchmark.
  *
- * Instantiates the full Dynamo control plane — agents, leaf
- * controllers (3 s pull cycles), SB/MSB upper controllers (9 s
- * cycles) — over 1 k / 10 k / 100 k servers and measures how fast the
- * event kernel and the controller hot paths execute it:
+ * Runs the full Dynamo control plane — agents, leaf controllers (3 s
+ * pull cycles), SB/MSB upper controllers (9 s cycles) — on the sharded
+ * engine (fleet/sharding.h) over 1 k / 10 k / 100 k servers and
+ * measures how fast it executes:
  *
- *   - events/sec through the timing-wheel kernel,
+ *   - events/sec through the shards' timing-wheel kernels,
  *   - sim-time / wall-time ratio (how many times faster than real
- *     time the suite simulates),
- *   - p50/p99 wall cost of one leaf / upper RunCycle dispatch (the
- *     pull fan-out, the per-cycle hot path).
+ *     time the suite simulates).
  *
  * Modes:
  *   bench_scale_throughput                      # full 1k/10k/100k suite
  *   bench_scale_throughput --servers 10000      # one size only
  *   bench_scale_throughput --out BENCH_SCALE.json
  *   bench_scale_throughput --servers 1000 --check BENCH_SCALE.json
- *   bench_scale_throughput --metrics            # instrumented run
  *   bench_scale_throughput --servers 10000 --overhead-check 5
- *   bench_scale_throughput --servers 10000 --threads 4   # sharded engine
+ *   bench_scale_throughput --servers 10000 --threads 4
  *   bench_scale_throughput --threads 4 --journal run.jrnl
  *   bench_scale_throughput --parallel-suite     # BENCH_PARALLEL.json
  *   bench_scale_throughput --servers 10000 --parallel-check 2.5
- *   bench_scale_throughput --servers 100000 --threads 1 --barrier-breakdown
+ *   bench_scale_throughput --servers 100000 --barrier-breakdown
  *   bench_scale_throughput --mega-smoke         # 1M-server smoke
  *   bench_scale_throughput --threads 4 --scenario "grid-dr(hold_s=120)"
+ *
+ * The engine puts one shard per SB subtree on a --threads-wide pool
+ * (default 1), barrier-synchronized every 9 s of sim time. Every run
+ * records a DYNJRNL1 journal; --journal writes it to disk. When the
+ * run ends it prints the process's peak resident set (VmHWM), the
+ * fleet-scale memory footprint. --servers and --sim-seconds take whole
+ * positive numbers; anything else exits 2.
  *
  * --check is the CI perf smoke: it runs each suite five times, takes
  * the best measured sim-seconds per wall-second (realtime_ratio), and
  * compares it against the committed baseline, exiting non-zero on a
  * >3x regression (generous enough to absorb shared-runner noise, tight
- * enough to catch an accidental O(n log n) -> O(n^2) slip). A 1k-server
- * suite times only milliseconds of wall clock, so one run swings
- * several-fold with host load; the best of five does not. It gates
- * simulated time, not kernel events per second, because a change that
- * needs fewer events for the same simulation is faster, not slower.
+ * enough to catch an accidental O(n log n) -> O(n^2) slip) or when the
+ * baseline has no suite of a size it ran. A 1k-server suite times
+ * only milliseconds of wall clock, so one run swings several-fold with
+ * host load; the best of five does not. It gates simulated time, not
+ * kernel events per second, because a change that needs fewer events
+ * for the same simulation is faster, not slower.
  *
- * --threads N runs the sharded parallel engine (fleet/sharding.h)
- * instead of the single-kernel fleet: one shard per SB subtree on an
- * N-thread pool, barrier-synchronized every 9 s of sim time. The run
- * records a DYNJRNL1 journal; --journal writes it to disk. When the
- * run ends it prints the process's peak resident set (VmHWM), the
- * fleet-scale memory footprint.
- *
- * --parallel-suite measures the 1/2/4/8-thread scaling curves at 10 k
- * and 100 k servers and writes BENCH_PARALLEL.json (path via --out).
+ * --parallel-suite measures the 1/2/4/8-thread scaling curves at 10 k,
+ * 100 k and 1 M servers and writes BENCH_PARALLEL.json (path via --out).
  *
  * --parallel-check MIN is the CI determinism + scaling gate: for each
  * size it runs the sharded engine at 1 and 4 threads, requires the two
@@ -58,12 +56,12 @@
  * (determinism never depends on core count).
  *
  * --barrier-breakdown prints the per-stage barrier profile after each
- * sharded run (window-run / record / reconfig / proxy-publish /
- * mailbox-drain / checkpoint wall times and the serial share) — the
- * Amdahl instrument for the parallel engine.
+ * run (window-run / record / reconfig / proxy-publish / mailbox-drain /
+ * checkpoint wall times and the serial share) — the Amdahl instrument
+ * for the parallel engine.
  *
- * --checkpoint-every N makes sharded runs checkpoint every N windows,
- * so the parallel checkpoint stage shows up in the breakdown and the
+ * --checkpoint-every N makes runs checkpoint every N windows, so the
+ * parallel checkpoint stage shows up in the breakdown and the
  * determinism gates cover checkpoint bytes.
  *
  * --mega-smoke is the 1,000,000-server arm: constructs the ~4.2 k-leaf
@@ -72,8 +70,8 @@
  * feasibility gate (minutes), not a throughput measurement.
  *
  * --reconfig schedules the canonical elastic storm (grow, re-parent,
- * upper promotion + leaf bounce, decommission) onto the sharded run,
- * so the determinism comparison also covers mid-run topology changes.
+ * upper promotion + leaf bounce, decommission) onto the run, so the
+ * determinism comparison also covers mid-run topology changes.
  *
  * --scenario NAME[(k=v,...)] runs a catalog scenario (replay/scenario.h)
  * on the sharded fleet: the resolved spec is stamped into the journal
@@ -82,55 +80,43 @@
  * --gpu-fraction / --sensorless-fraction seed the server populations
  * that gpu-surge and estimator-drift act on.
  *
- * --metrics wires the telemetry registry + decision-trace log into the
- * transport, every agent, and every controller — the instrumented
- * configuration the fleet harness runs with by default.
- *
- * --overhead-check PCT measures instrumentation cost: for each size it
- * runs metrics-off and metrics-on suites alternating (best-of-3 each,
- * interleaved so thermal/scheduler drift hits both arms equally) and
- * exits non-zero when metrics-on throughput lands more than PCT
- * percent below metrics-off.
+ * --overhead-check PCT measures instrumentation cost on the serial
+ * fleet::Fleet: for each size it builds an MSB of ceil(N / 1920) SBs
+ * of the default topology with the deployment's telemetry off and with
+ * it on, runs the two alternating (best-of-3 each, interleaved so
+ * thermal/scheduler drift hits both arms equally), and exits non-zero
+ * when telemetry-on throughput lands more than PCT percent below
+ * telemetry-off. The telemetry-on arm prints the p50/p99 wall cost of
+ * one leaf and one upper cycle from the `leaf.cycle_us` and
+ * `upper.cycle_us` histograms.
  */
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include <thread>
-
 #include "common/archive.h"
-#include "core/agent.h"
-#include "core/leaf_controller.h"
-#include "core/upper_controller.h"
+#include "fleet/fleet.h"
 #include "fleet/sharded_scenarios.h"
 #include "fleet/sharding.h"
 #include "policy/capping_policy.h"
-#include "power/topology.h"
 #include "replay/journal.h"
 #include "replay/scenario.h"
-#include "rpc/transport.h"
-#include "server/sim_server.h"
-#include "sim/simulation.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-#include "workload/load_process.h"
 
 namespace dynamo {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr std::size_t kServersPerLeaf = 240;
-constexpr std::size_t kLeavesPerSb = 8;
-constexpr std::size_t kSbsPerMsb = 4;
 
 /** Capping brain for every controller in the run (--policy). */
 policy::PolicyKind g_policy = policy::PolicyKind::kThreeBand;
@@ -143,272 +129,6 @@ bool g_scenario_set = false;
 double g_gpu_fraction = 0.0;
 double g_sensorless_fraction = 0.0;
 
-/** Leaf controller that wall-times each pull-cycle dispatch. */
-class TimedLeaf : public core::LeafController
-{
-  public:
-    // Explicit forwarding ctor: the base ctor is protected (builder is
-    // the production path), and inherited ctors keep base access.
-    TimedLeaf(sim::Simulation& sim, rpc::SimTransport& transport,
-              std::string endpoint, power::PowerDevice& device, Config config,
-              telemetry::EventLog* log)
-        : core::LeafController(sim, transport, std::move(endpoint), device,
-                               config, log)
-    {
-    }
-
-    void set_samples(std::vector<double>* samples) { samples_ = samples; }
-
-  protected:
-    void RunCycle() override
-    {
-        const Clock::time_point t0 = Clock::now();
-        core::LeafController::RunCycle();
-        samples_->push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                .count());
-    }
-
-  private:
-    std::vector<double>* samples_ = nullptr;
-};
-
-/** Upper controller that wall-times each pull-cycle dispatch. */
-class TimedUpper : public core::UpperController
-{
-  public:
-    TimedUpper(sim::Simulation& sim, rpc::SimTransport& transport,
-               std::string endpoint, Watts physical_limit, Watts quota,
-               Config config, telemetry::EventLog* log)
-        : core::UpperController(sim, transport, std::move(endpoint),
-                                physical_limit, quota, config, log)
-    {
-    }
-
-    void set_samples(std::vector<double>* samples) { samples_ = samples; }
-
-  protected:
-    void RunCycle() override
-    {
-        const Clock::time_point t0 = Clock::now();
-        core::UpperController::RunCycle();
-        samples_->push_back(
-            std::chrono::duration<double, std::micro>(Clock::now() - t0)
-                .count());
-    }
-
-  private:
-    std::vector<double>* samples_ = nullptr;
-};
-
-double
-Percentile(std::vector<double> values, double p)
-{
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const std::size_t idx = std::min(
-        values.size() - 1,
-        static_cast<std::size_t>(p * static_cast<double>(values.size())));
-    return values[idx];
-}
-
-struct SuiteResult
-{
-    std::size_t servers = 0;
-    std::size_t leaf_controllers = 0;
-    std::size_t upper_controllers = 0;
-    double sim_seconds = 0.0;
-    double wall_seconds = 0.0;
-    std::uint64_t events = 0;
-    double events_per_sec = 0.0;
-    double realtime_ratio = 0.0;
-    double leaf_p50_us = 0.0;
-    double leaf_p99_us = 0.0;
-    double upper_p50_us = 0.0;
-    double upper_p99_us = 0.0;
-    bool metrics_on = false;
-    std::uint64_t rpc_calls = 0;
-    std::uint64_t spans = 0;
-};
-
-SuiteResult
-RunSuite(std::size_t n_servers, SimTime measure_ms, bool with_metrics)
-{
-    sim::Simulation sim;
-    rpc::SimTransport transport(sim, /*seed=*/1234);
-    telemetry::MetricsRegistry registry;
-    telemetry::TraceLog traces;
-    if (with_metrics) transport.AttachMetrics(&registry);
-    Rng rng(n_servers * 0x9e3779b97f4a7c15ULL + 7);
-
-    const std::size_t n_leaves =
-        (n_servers + kServersPerLeaf - 1) / kServersPerLeaf;
-    const std::size_t n_sbs = (n_leaves + kLeavesPerSb - 1) / kLeavesPerSb;
-    const std::size_t n_msbs =
-        n_sbs > 1 ? (n_sbs + kSbsPerMsb - 1) / kSbsPerMsb : 0;
-
-    // --- Servers and agents ---
-    std::vector<std::unique_ptr<server::SimServer>> servers;
-    std::vector<std::unique_ptr<core::DynamoAgent>> agents;
-    servers.reserve(n_servers);
-    agents.reserve(n_servers);
-    const workload::ServiceType services[] = {
-        workload::ServiceType::kWeb, workload::ServiceType::kCache,
-        workload::ServiceType::kHadoop, workload::ServiceType::kDatabase};
-    for (std::size_t i = 0; i < n_servers; ++i) {
-        server::SimServer::Config config;
-        config.name = "srv" + std::to_string(i);
-        config.service = services[i % 4];
-        config.generation = (i % 10 < 7)
-                                ? server::ServerGeneration::kHaswell2015
-                                : server::ServerGeneration::kWestmere2011;
-        config.seed = rng.NextU64();
-        workload::LoadProcessParams params =
-            workload::LoadProcessParams::For(config.service);
-        params.base_util = rng.Uniform(0.35, 0.75);
-        params.spike_rate_per_hour = 0.0;  // steady-state throughput run
-        servers.push_back(std::make_unique<server::SimServer>(
-            std::move(config), params));
-        agents.push_back(std::make_unique<core::DynamoAgent>(
-            sim, transport, *servers.back(), "agent:" + std::to_string(i)));
-        if (with_metrics) agents.back()->AttachMetrics(&registry);
-    }
-
-    // --- Leaf controllers, one per RPP ---
-    std::vector<std::unique_ptr<power::PowerDevice>> devices;
-    std::vector<std::unique_ptr<TimedLeaf>> leaves;
-    std::vector<double> leaf_samples;
-    std::vector<Watts> leaf_rated;
-    devices.reserve(n_leaves);
-    leaves.reserve(n_leaves);
-    for (std::size_t l = 0; l < n_leaves; ++l) {
-        const std::size_t first = l * kServersPerLeaf;
-        const std::size_t last = std::min(first + kServersPerLeaf, n_servers);
-
-        // Size the breaker just above the domain's initial draw so the
-        // three-band policy works near its thresholds: OU load noise
-        // pushes the aggregate across the cap/uncap bands and the
-        // capping hot path (plan + RAPL fan-out) actually runs.
-        Watts draw = 0.0;
-        for (std::size_t i = first; i < last; ++i) draw += servers[i]->PowerAt(0);
-        const Watts rated = draw / 0.965;
-        leaf_rated.push_back(rated);
-        devices.push_back(power::BuildRpp("rpp" + std::to_string(l), rated,
-                                          /*quota=*/0.95 * rated));
-
-        core::LeafController::Config config;
-        config.capping_policy = g_policy;
-        auto leaf = std::make_unique<TimedLeaf>(
-            sim, transport, "ctl:rpp:" + std::to_string(l), *devices.back(),
-            config, /*log=*/nullptr);
-        leaf->set_samples(&leaf_samples);
-        for (std::size_t i = first; i < last; ++i) {
-            core::AgentInfo info;
-            info.endpoint = agents[i]->endpoint();
-            info.service = servers[i]->service();
-            info.priority_group = static_cast<int>(i % 3);
-            info.sla_min_cap = 70.0 + static_cast<double>(i % 3) * 15.0;
-            leaf->AddAgent(std::move(info));
-        }
-        if (with_metrics) leaf->AttachTelemetry(&registry, &traces);
-        // Stagger activation so hundreds of controllers don't pull in
-        // lock-step (the deployment does the same).
-        leaf->Activate(static_cast<SimTime>((l * 37) % 3000));
-        leaves.push_back(std::move(leaf));
-    }
-
-    // --- Upper controllers: SBs over leaves, MSBs over SBs ---
-    std::vector<std::unique_ptr<TimedUpper>> uppers;
-    std::vector<double> upper_samples;
-    std::vector<Watts> sb_rated;
-    for (std::size_t s = 0; s < n_sbs; ++s) {
-        const std::size_t first = s * kLeavesPerSb;
-        const std::size_t last = std::min(first + kLeavesPerSb, n_leaves);
-        Watts rated = 0.0;
-        for (std::size_t l = first; l < last; ++l) rated += leaf_rated[l];
-        rated *= 0.99;  // slightly oversubscribed, as real SBs are
-        sb_rated.push_back(rated);
-
-        core::UpperController::Config config;
-        config.capping_policy = g_policy;
-        auto sb = std::make_unique<TimedUpper>(
-            sim, transport, "ctl:sb:" + std::to_string(s), rated,
-            /*quota=*/0.95 * rated, config, /*log=*/nullptr);
-        sb->set_samples(&upper_samples);
-        for (std::size_t l = first; l < last; ++l) {
-            sb->AddChild("ctl:rpp:" + std::to_string(l));
-        }
-        if (with_metrics) sb->AttachTelemetry(&registry, &traces);
-        sb->Activate(static_cast<SimTime>((s * 113) % 9000));
-        uppers.push_back(std::move(sb));
-    }
-    for (std::size_t m = 0; m < n_msbs; ++m) {
-        const std::size_t first = m * kSbsPerMsb;
-        const std::size_t last = std::min(first + kSbsPerMsb, n_sbs);
-        Watts rated = 0.0;
-        for (std::size_t s = first; s < last; ++s) rated += sb_rated[s];
-        rated *= 0.99;
-
-        core::UpperController::Config config;
-        config.capping_policy = g_policy;
-        auto msb = std::make_unique<TimedUpper>(
-            sim, transport, "ctl:msb:" + std::to_string(m), rated,
-            /*quota=*/0.95 * rated, config, /*log=*/nullptr);
-        msb->set_samples(&upper_samples);
-        for (std::size_t s = first; s < last; ++s) {
-            msb->AddChild("ctl:sb:" + std::to_string(s));
-        }
-        if (with_metrics) msb->AttachTelemetry(&registry, &traces);
-        msb->Activate(static_cast<SimTime>((m * 199) % 9000));
-        uppers.push_back(std::move(msb));
-    }
-
-    // --- Warm up, then measure ---
-    constexpr SimTime kWarmupMs = 15'000;
-    sim.RunFor(kWarmupMs);
-    leaf_samples.clear();
-    upper_samples.clear();
-
-    const std::uint64_t events_before = sim.events_executed();
-    const Clock::time_point wall_start = Clock::now();
-    sim.RunFor(measure_ms);
-    const double wall_s =
-        std::chrono::duration<double>(Clock::now() - wall_start).count();
-    const std::uint64_t events = sim.events_executed() - events_before;
-
-    SuiteResult result;
-    result.servers = n_servers;
-    result.leaf_controllers = n_leaves;
-    result.upper_controllers = uppers.size();
-    result.sim_seconds = static_cast<double>(measure_ms) / 1000.0;
-    result.wall_seconds = wall_s;
-    result.events = events;
-    result.events_per_sec =
-        wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
-    result.realtime_ratio = wall_s > 0.0 ? result.sim_seconds / wall_s : 0.0;
-    result.leaf_p50_us = Percentile(leaf_samples, 0.50);
-    result.leaf_p99_us = Percentile(leaf_samples, 0.99);
-    result.upper_p50_us = Percentile(upper_samples, 0.50);
-    result.upper_p99_us = Percentile(upper_samples, 0.99);
-    result.metrics_on = with_metrics;
-    if (with_metrics) {
-        // Kernel counters sit below telemetry; snapshot them into
-        // gauges here, the way the fleet harness does.
-        const sim::KernelStats& ks = sim.kernel_stats();
-        registry.GetGauge("sim.cascades")->Set(static_cast<double>(ks.cascades));
-        registry.GetGauge("sim.far_drains")
-            ->Set(static_cast<double>(ks.far_drains));
-        registry.GetGauge("sim.purges")->Set(static_cast<double>(ks.purges));
-        registry.GetGauge("sim.slot_sorts")
-            ->Set(static_cast<double>(ks.slot_sorts));
-        if (telemetry::Counter* calls = registry.GetCounter("rpc.calls")) {
-            result.rpc_calls = calls->value();
-        }
-        result.spans = traces.total_appended();
-    }
-    return result;
-}
-
 /** One sharded-engine measurement. */
 struct ParallelResult
 {
@@ -419,6 +139,9 @@ struct ParallelResult
     double wall_seconds = 0.0;
     std::uint64_t events = 0;
     double events_per_sec = 0.0;
+
+    /** Sim-seconds per wall-second: what --check gates. */
+    double realtime_ratio = 0.0;
 
     /** FNV-1a64 of the encoded DYNJRNL1 bytes (determinism witness). */
     std::uint64_t journal_fnv = 0;
@@ -533,6 +256,7 @@ RunParallelSuite(std::size_t n_servers, SimTime measure_ms,
     result.events = fleet.events_executed() - events_before;
     result.events_per_sec =
         wall_s > 0.0 ? static_cast<double>(result.events) / wall_s : 0.0;
+    result.realtime_ratio = wall_s > 0.0 ? result.sim_seconds / wall_s : 0.0;
     result.journal_bytes = replay::EncodeJournal(fleet.journal());
     result.journal_fnv = Fnv1a64(result.journal_bytes);
     result.profile = fleet.barrier_profile();
@@ -591,11 +315,11 @@ RunMegaSmoke()
 }
 
 std::string
-ParallelToJson(const std::vector<ParallelResult>& results)
+ToJson(const std::vector<ParallelResult>& results)
 {
     std::ostringstream out;
     out << "{\n";
-    out << "  \"bench\": \"scale_throughput_parallel\",\n";
+    out << "  \"bench\": \"scale_throughput\",\n";
 #ifdef NDEBUG
     out << "  \"build\": \"release\",\n";
 #else
@@ -630,6 +354,7 @@ ParallelToJson(const std::vector<ParallelResult>& results)
             "      \"wall_seconds\": %.4f,\n"
             "      \"events_executed\": %llu,\n"
             "      \"events_per_sec\": %.0f,\n"
+            "      \"realtime_ratio\": %.1f,\n"
             "      \"speedup_vs_1t\": %.2f,\n"
             "      \"journal_fnv64\": \"0x%016llx\",\n"
             "      \"barrier\": {\n"
@@ -646,7 +371,7 @@ ParallelToJson(const std::vector<ParallelResult>& results)
             "    }%s\n",
             r.servers, r.threads, r.shards, r.sim_seconds, r.wall_seconds,
             static_cast<unsigned long long>(r.events), r.events_per_sec,
-            base > 0.0 ? r.events_per_sec / base : 0.0,
+            r.realtime_ratio, base > 0.0 ? r.events_per_sec / base : 0.0,
             static_cast<unsigned long long>(r.journal_fnv),
             r.profile.barrier_total_s, r.profile.serial_share(),
             r.profile.record_s, r.profile.reconfig_s,
@@ -662,66 +387,140 @@ ParallelToJson(const std::vector<ParallelResult>& results)
     return out.str();
 }
 
-std::string
-ToJson(const std::vector<SuiteResult>& results)
-{
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"bench\": \"scale_throughput\",\n";
-#ifdef NDEBUG
-    out << "  \"build\": \"release\",\n";
-#else
-    out << "  \"build\": \"debug\",\n";
-#endif
-    out << "  \"cycle_cost_note\": \"leaf/upper cycle cost is the wall time "
-           "of one RunCycle pull fan-out dispatch\",\n";
-    out << "  \"suites\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const SuiteResult& r = results[i];
-        char buf[1024];
-        std::snprintf(
-            buf, sizeof(buf),
-            "    {\n"
-            "      \"servers\": %zu,\n"
-            "      \"leaf_controllers\": %zu,\n"
-            "      \"upper_controllers\": %zu,\n"
-            "      \"sim_seconds\": %.1f,\n"
-            "      \"wall_seconds\": %.4f,\n"
-            "      \"events_executed\": %llu,\n"
-            "      \"events_per_sec\": %.0f,\n"
-            "      \"realtime_ratio\": %.1f,\n"
-            "      \"leaf_cycle_us\": {\"p50\": %.1f, \"p99\": %.1f},\n"
-            "      \"upper_cycle_us\": {\"p50\": %.1f, \"p99\": %.1f}\n"
-            "    }%s\n",
-            r.servers, r.leaf_controllers, r.upper_controllers, r.sim_seconds,
-            r.wall_seconds, static_cast<unsigned long long>(r.events),
-            r.events_per_sec, r.realtime_ratio, r.leaf_p50_us, r.leaf_p99_us,
-            r.upper_p50_us, r.upper_p99_us,
-            i + 1 < results.size() ? "," : "");
-        out << buf;
-    }
-    out << "  ]\n";
-    out << "}\n";
-    return out.str();
-}
-
 /**
  * Pull one suite's realtime_ratio out of a baseline BENCH_SCALE.json.
- * Hand-rolled scan (no JSON dependency): finds the `"servers": N`
- * entry, then the following `"realtime_ratio"` value.
+ * Hand-rolled scan (no JSON dependency): finds the `"servers": N,`
+ * entry, then its `"realtime_ratio"` value before the next entry.
  */
 bool
 BaselineRealtimeRatio(const std::string& json, std::size_t servers,
                       double* out)
 {
-    const std::string anchor = "\"servers\": " + std::to_string(servers);
+    const std::string anchor =
+        "\"servers\": " + std::to_string(servers) + ",";
     const std::size_t at = json.find(anchor);
     if (at == std::string::npos) return false;
+    const std::size_t next = json.find("\"servers\": ", at + anchor.size());
     const std::string key = "\"realtime_ratio\": ";
     const std::size_t kat = json.find(key, at);
-    if (kat == std::string::npos) return false;
+    if (kat == std::string::npos || kat > next) return false;
     *out = std::strtod(json.c_str() + kat + key.size(), nullptr);
     return *out > 0.0;
+}
+
+/**
+ * The CI perf smoke: each suite's realtime_ratio must reach a third of
+ * the baseline's for its size. A size the baseline lacks fails, so a
+ * mistyped size cannot pass unchecked. Returns a process exit code.
+ */
+int
+CheckBaseline(const std::string& path,
+              const std::vector<ParallelResult>& results)
+{
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
+        return 1;
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string baseline = buffer.str();
+    bool ok = true;
+    for (const ParallelResult& r : results) {
+        double want = 0.0;
+        if (!BaselineRealtimeRatio(baseline, r.servers, &want)) {
+            std::fprintf(stderr,
+                         "PERF CHECK FAILURE: baseline %s has no %zu-server "
+                         "suite\n",
+                         path.c_str(), r.servers);
+            ok = false;
+            continue;
+        }
+        const double floor = want / 3.0;
+        if (r.realtime_ratio < floor) {
+            std::fprintf(stderr,
+                         "PERF REGRESSION: %zu servers ran at %.1fx "
+                         "real time, baseline %.1fx (floor %.1fx)\n",
+                         r.servers, r.realtime_ratio, want, floor);
+            ok = false;
+        } else {
+            std::printf("perf check ok: %zu servers at %.1fx real time "
+                        "(baseline %.1fx, floor %.1fx)\n",
+                        r.servers, r.realtime_ratio, want, floor);
+        }
+    }
+    return ok ? 0 : 1;
+}
+
+/**
+ * The serial fleet the overhead gate runs: an MSB over ceil(n / 1920)
+ * SBs of the default topology (8 RPPs of 240 servers each), rated so
+ * the MSB itself never binds.
+ */
+fleet::FleetSpec
+OverheadSpec(std::size_t n_servers, bool with_telemetry)
+{
+    fleet::FleetSpec spec;
+    spec.scope = fleet::FleetScope::kMsb;
+    const std::size_t per_sb =
+        spec.topology.rpps_per_sb * spec.servers_per_rpp;
+    spec.topology.sbs_per_msb = (n_servers + per_sb - 1) / per_sb;
+    spec.topology.msb_rated =
+        static_cast<double>(spec.topology.sbs_per_msb) * spec.topology.sb_rated;
+    spec.deployment.leaf.capping_policy = g_policy;
+    spec.deployment.upper.capping_policy = g_policy;
+    spec.deployment.with_telemetry = with_telemetry;
+    return spec;
+}
+
+/**
+ * Events per wall-second of the serial fleet over `measure_ms`, after a
+ * 15 s warm-up past every activation stagger. With telemetry on, also
+ * prints the p50/p99 wall cost of one leaf and one upper cycle.
+ */
+double
+RunOverheadArm(std::size_t n_servers, SimTime measure_ms, bool with_telemetry)
+{
+    fleet::Fleet fleet(OverheadSpec(n_servers, with_telemetry));
+    fleet.RunFor(15'000);
+    const std::uint64_t events_before = fleet.sim().events_executed();
+    const Clock::time_point wall_start = Clock::now();
+    fleet.RunFor(measure_ms);
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - wall_start).count();
+    const std::uint64_t events = fleet.sim().events_executed() - events_before;
+    if (with_telemetry) {
+        telemetry::MetricsRegistry& metrics = *fleet.metrics();
+        const telemetry::Histogram& leaf =
+            *metrics.GetHistogram("leaf.cycle_us");
+        const telemetry::Histogram& upper =
+            *metrics.GetHistogram("upper.cycle_us");
+        std::printf("  telemetry on: %zu servers, leaf cycle p50/p99 "
+                    "%.1f/%.1f us, upper %.1f/%.1f us\n",
+                    fleet.servers().size(), leaf.p50(), leaf.p99(),
+                    upper.p50(), upper.p99());
+    }
+    return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
+}
+
+/**
+ * A whole positive number for `flag`: digits only, not 0, at most
+ * `max`. Anything else ("1OOO", "-5", "") exits 2.
+ */
+std::size_t
+ParseCount(const std::string& flag, const char* text,
+           std::size_t max = SIZE_MAX)
+{
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || value == 0 || value > max) {
+        std::fprintf(stderr, "%s needs a whole positive number; got '%s'\n",
+                     flag.c_str(), text);
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(value);
 }
 
 /**
@@ -754,9 +553,8 @@ main(int argc, char** argv)
     std::string out_path;
     std::string check_path;
     std::string journal_path;
-    bool with_metrics = false;
     double overhead_pct = 0.0;
-    std::size_t threads = 0;  // 0 = classic single-kernel fleet
+    std::size_t threads = 1;
     bool reconfig = false;
     bool parallel_suite = false;
     double parallel_check = 0.0;
@@ -774,16 +572,15 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--servers") {
-            sizes = {static_cast<std::size_t>(std::strtoull(next(), nullptr, 10))};
+            sizes = {ParseCount(arg, next())};
         } else if (arg == "--sim-seconds") {
-            measure_ms = static_cast<SimTime>(std::strtoll(next(), nullptr, 10)) *
+            measure_ms = static_cast<SimTime>(
+                             ParseCount(arg, next(), INT64_MAX / 1000)) *
                          1000;
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--check") {
             check_path = next();
-        } else if (arg == "--metrics") {
-            with_metrics = true;
         } else if (arg == "--overhead-check") {
             overhead_pct = std::strtod(next(), nullptr);
             if (overhead_pct <= 0.0) {
@@ -792,12 +589,7 @@ main(int argc, char** argv)
                 return 2;
             }
         } else if (arg == "--threads") {
-            threads = static_cast<std::size_t>(
-                std::strtoull(next(), nullptr, 10));
-            if (threads == 0) {
-                std::fprintf(stderr, "--threads needs a positive count\n");
-                return 2;
-            }
+            threads = ParseCount(arg, next());
         } else if (arg == "--journal") {
             journal_path = next();
         } else if (arg == "--reconfig") {
@@ -850,7 +642,7 @@ main(int argc, char** argv)
         } else {
             std::fprintf(stderr,
                          "usage: %s [--servers N] [--sim-seconds S] "
-                         "[--out FILE] [--check BASELINE] [--metrics] "
+                         "[--out FILE] [--check BASELINE] "
                          "[--overhead-check PCT] [--threads N] "
                          "[--journal FILE] [--reconfig] [--parallel-suite] "
                          "[--parallel-check MIN_SPEEDUP] "
@@ -935,74 +727,10 @@ main(int argc, char** argv)
         return ok ? 0 : 1;
     }
 
-    if (parallel_suite || threads > 0) {
-        // Sharded-engine measurements. --parallel-suite sweeps the
-        // scaling curves (including the 1 M-server suite, at a shorter
-        // measurement so the sweep stays minutes, not hours); plain
-        // --threads measures the requested sizes at one pool width.
-        if (parallel_suite) sizes = {10'000, 100'000, 1'000'000};
-        const std::vector<std::size_t> widths =
-            parallel_suite ? std::vector<std::size_t>{1, 2, 4, 8}
-                           : std::vector<std::size_t>{threads};
-        std::vector<ParallelResult> results;
-        for (const std::size_t n : sizes) {
-            const SimTime size_measure_ms =
-                (parallel_suite && n >= 1'000'000)
-                    ? std::min<SimTime>(measure_ms, 27'000)
-                    : measure_ms;
-            for (const std::size_t t : widths) {
-                std::printf("running sharded %zu-server suite, %zu thread%s "
-                            "(%lld sim-seconds)...\n",
-                            n, t, t == 1 ? "" : "s",
-                            static_cast<long long>(size_measure_ms / 1000));
-                std::fflush(stdout);
-                results.push_back(RunParallelSuite(n, size_measure_ms, t,
-                                                   reconfig,
-                                                   checkpoint_every));
-                const ParallelResult& r = results.back();
-                std::printf("  %zu shards: %.2fM events/s, journal fnv "
-                            "0x%016llx\n",
-                            r.shards, r.events_per_sec / 1e6,
-                            static_cast<unsigned long long>(r.journal_fnv));
-                if (barrier_breakdown) PrintBarrierBreakdown(r.profile);
-                std::fflush(stdout);
-            }
-        }
-        if (!parallel_suite) {
-            std::printf("peak RSS (VmHWM): %.1f MB\n", PeakRssMb());
-        }
-        if (!journal_path.empty()) {
-            const ParallelResult& last = results.back();
-            std::ofstream out(journal_path, std::ios::binary);
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             journal_path.c_str());
-                return 1;
-            }
-            out << last.journal_bytes;
-            std::printf("wrote %s (%zu bytes)\n", journal_path.c_str(),
-                        last.journal_bytes.size());
-        }
-        const std::string json = ParallelToJson(results);
-        if (parallel_suite) {
-            const std::string path =
-                out_path.empty() ? "BENCH_PARALLEL.json" : out_path;
-            std::ofstream out(path);
-            out << json;
-            std::printf("wrote %s\n", path.c_str());
-        } else if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            out << json;
-            std::printf("wrote %s\n", out_path.c_str());
-        } else {
-            std::printf("%s", json.c_str());
-        }
-        return 0;
-    }
-
     if (overhead_pct > 0.0) {
-        // Instrumentation-overhead gate: alternate off/on arms so slow
-        // drift (turbo, thermal, noisy neighbours) biases neither.
+        // Instrumentation-overhead gate on the serial fleet: alternate
+        // off/on arms so slow drift (turbo, thermal, noisy neighbours)
+        // biases neither.
         bool ok = true;
         for (const std::size_t n : sizes) {
             constexpr int kReps = 3;
@@ -1014,12 +742,10 @@ main(int argc, char** argv)
                 std::fflush(stdout);
                 best_off = std::max(
                     best_off,
-                    RunSuite(n, measure_ms, /*with_metrics=*/false)
-                        .events_per_sec);
+                    RunOverheadArm(n, measure_ms, /*with_telemetry=*/false));
                 best_on = std::max(
                     best_on,
-                    RunSuite(n, measure_ms, /*with_metrics=*/true)
-                        .events_per_sec);
+                    RunOverheadArm(n, measure_ms, /*with_telemetry=*/true));
             }
             const double floor = best_off * (1.0 - overhead_pct / 100.0);
             const double drop =
@@ -1027,95 +753,85 @@ main(int argc, char** argv)
             if (best_on < floor) {
                 std::fprintf(stderr,
                              "METRICS OVERHEAD: %zu servers ran at %.0f "
-                             "events/s with metrics vs %.0f without "
+                             "events/s with telemetry vs %.0f without "
                              "(%.1f%% drop, budget %.1f%%)\n",
                              n, best_on, best_off, drop, overhead_pct);
                 ok = false;
             } else {
-                std::printf("overhead check ok: %zu servers, metrics-on %.0f "
-                            "events/s vs metrics-off %.0f (%.1f%% drop, "
-                            "budget %.1f%%)\n",
+                std::printf("overhead check ok: %zu servers, telemetry-on "
+                            "%.0f events/s vs telemetry-off %.0f (%.1f%% "
+                            "drop, budget %.1f%%)\n",
                             n, best_on, best_off, drop, overhead_pct);
             }
         }
         return ok ? 0 : 1;
     }
 
-    const int reps = check_path.empty() ? 1 : 5;  // --check: best of five
-    std::vector<SuiteResult> results;
+    // --parallel-suite sweeps the scaling curves (including the 1
+    // M-server suite, at a shorter measurement so the sweep stays
+    // minutes, not hours); otherwise the requested sizes run at one
+    // pool width. --check keeps the best of five runs per suite.
+    if (parallel_suite) sizes = {10'000, 100'000, 1'000'000};
+    const std::vector<std::size_t> widths =
+        parallel_suite ? std::vector<std::size_t>{1, 2, 4, 8}
+                       : std::vector<std::size_t>{threads};
+    const int reps = check_path.empty() ? 1 : 5;
+    std::vector<ParallelResult> results;
     for (const std::size_t n : sizes) {
-        for (int rep = 0; rep < reps; ++rep) {
-            std::printf("running %zu-server suite (%lld sim-seconds)%s",
-                        n, static_cast<long long>(measure_ms / 1000),
-                        with_metrics ? " with metrics" : "");
-            if (reps > 1) std::printf(", run %d/%d", rep + 1, reps);
-            std::printf("...\n");
-            std::fflush(stdout);
-            SuiteResult run = RunSuite(n, measure_ms, with_metrics);
-            if (rep == 0) {
-                results.push_back(run);
-            } else if (run.realtime_ratio > results.back().realtime_ratio) {
-                results.back() = run;
+        const SimTime size_measure_ms =
+            (parallel_suite && n >= 1'000'000)
+                ? std::min<SimTime>(measure_ms, 27'000)
+                : measure_ms;
+        for (const std::size_t t : widths) {
+            for (int rep = 0; rep < reps; ++rep) {
+                std::printf("running sharded %zu-server suite, %zu thread%s "
+                            "(%lld sim-seconds)",
+                            n, t, t == 1 ? "" : "s",
+                            static_cast<long long>(size_measure_ms / 1000));
+                if (reps > 1) std::printf(", run %d/%d", rep + 1, reps);
+                std::printf("...\n");
+                std::fflush(stdout);
+                ParallelResult run = RunParallelSuite(
+                    n, size_measure_ms, t, reconfig, checkpoint_every);
+                if (rep == 0) {
+                    results.push_back(std::move(run));
+                } else if (run.realtime_ratio > results.back().realtime_ratio) {
+                    results.back() = std::move(run);
+                }
             }
+            const ParallelResult& r = results.back();
+            std::printf("  %zu shards%s: %.2fM events/s, %.0fx real time, "
+                        "journal fnv 0x%016llx\n",
+                        r.shards, reps > 1 ? " (best run)" : "",
+                        r.events_per_sec / 1e6, r.realtime_ratio,
+                        static_cast<unsigned long long>(r.journal_fnv));
+            if (barrier_breakdown) PrintBarrierBreakdown(r.profile);
+            std::fflush(stdout);
         }
-        const SuiteResult& r = results.back();
-        std::printf(
-            "  %zu servers%s: %.2fM events/s, %.0fx real-time, "
-            "leaf cycle p50/p99 %.0f/%.0f us, upper %.0f/%.0f us\n",
-            r.servers, reps > 1 ? " (best run)" : "", r.events_per_sec / 1e6,
-            r.realtime_ratio, r.leaf_p50_us, r.leaf_p99_us, r.upper_p50_us,
-            r.upper_p99_us);
-        if (r.metrics_on) {
-            std::printf("  telemetry: %llu rpc calls counted, %llu decision "
-                        "spans\n",
-                        static_cast<unsigned long long>(r.rpc_calls),
-                        static_cast<unsigned long long>(r.spans));
-        }
-        std::fflush(stdout);
     }
-
+    if (!parallel_suite) {
+        std::printf("peak RSS (VmHWM): %.1f MB\n", PeakRssMb());
+    }
+    if (!journal_path.empty()) {
+        const ParallelResult& last = results.back();
+        std::ofstream out(journal_path, std::ios::binary);
+        if (!out) {
+            std::fprintf(stderr, "cannot write %s\n", journal_path.c_str());
+            return 1;
+        }
+        out << last.journal_bytes;
+        std::printf("wrote %s (%zu bytes)\n", journal_path.c_str(),
+                    last.journal_bytes.size());
+    }
     const std::string json = ToJson(results);
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
+    const std::string path =
+        parallel_suite && out_path.empty() ? "BENCH_PARALLEL.json" : out_path;
+    if (!path.empty()) {
+        std::ofstream out(path);
         out << json;
-        std::printf("wrote %s\n", out_path.c_str());
+        std::printf("wrote %s\n", path.c_str());
     } else {
         std::printf("%s", json.c_str());
     }
-
-    if (!check_path.empty()) {
-        std::ifstream in(check_path);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         check_path.c_str());
-            return 1;
-        }
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        const std::string baseline = buffer.str();
-        bool ok = true;
-        for (const SuiteResult& r : results) {
-            double want = 0.0;
-            if (!BaselineRealtimeRatio(baseline, r.servers, &want)) {
-                std::fprintf(stderr,
-                             "baseline has no %zu-server suite; skipping\n",
-                             r.servers);
-                continue;
-            }
-            const double floor = want / 3.0;
-            if (r.realtime_ratio < floor) {
-                std::fprintf(stderr,
-                             "PERF REGRESSION: %zu servers ran at %.1fx "
-                             "real time, baseline %.1fx (floor %.1fx)\n",
-                             r.servers, r.realtime_ratio, want, floor);
-                ok = false;
-            } else {
-                std::printf("perf check ok: %zu servers at %.1fx real time "
-                            "(baseline %.1fx, floor %.1fx)\n",
-                            r.servers, r.realtime_ratio, want, floor);
-            }
-        }
-        if (!ok) return 1;
-    }
-    return 0;
+    return check_path.empty() ? 0 : CheckBaseline(check_path, results);
 }

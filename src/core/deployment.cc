@@ -13,10 +13,6 @@ namespace dynamo::core {
 class DeploymentBuilder
 {
   public:
-    /** All SimServer loads in `device`'s subtree. */
-    static std::vector<server::SimServer*> ServersUnder(
-        power::PowerDevice& device);
-
     /**
      * Recursive construction: returns the controller endpoint for
      * `device`, or "" when the subtree contains no controllers.
@@ -32,20 +28,6 @@ class DeploymentBuilder
                                              power::PowerDevice& root,
                                              const DeploymentConfig& config);
 };
-
-std::vector<server::SimServer*>
-DeploymentBuilder::ServersUnder(power::PowerDevice& device)
-{
-    std::vector<server::SimServer*> servers;
-    device.ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                servers.push_back(srv);
-            }
-        }
-    });
-    return servers;
-}
 
 std::string
 DeploymentBuilder::BuildControllersFor(power::PowerDevice& device,
@@ -198,6 +180,20 @@ AgentInfoFor(const server::SimServer& server)
     info.nominal_power = server::PowerAtUtil(server.spec(), base_util,
                                              server.turbo_enabled());
     return info;
+}
+
+std::vector<server::SimServer*>
+ServersUnder(power::PowerDevice& device)
+{
+    std::vector<server::SimServer*> servers;
+    device.ForEach([&](power::PowerDevice& d) {
+        for (power::PowerLoad* load : d.loads()) {
+            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
+                servers.push_back(srv);
+            }
+        }
+    });
+    return servers;
 }
 
 void

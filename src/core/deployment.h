@@ -267,6 +267,9 @@ Watts SlaMinCapFor(const server::SimServer& server);
 /** AgentInfo for a server, using its spec and service traits. */
 AgentInfo AgentInfoFor(const server::SimServer& server);
 
+/** Every SimServer attached in `device`'s subtree, in pre-order. */
+std::vector<server::SimServer*> ServersUnder(power::PowerDevice& device);
+
 }  // namespace dynamo::core
 
 #endif  // DYNAMO_CORE_DEPLOYMENT_H_

@@ -9,7 +9,6 @@
 #include "core/api.h"
 #include "core/controller_builder.h"
 #include "fleet/spec_parser.h"
-#include "workload/load_process.h"
 
 namespace dynamo::daemon {
 
@@ -22,94 +21,15 @@ void HandleStopSignal(int)
     g_stop_requested = 1;
 }
 
+/** The spec with the control plane off: the daemon hosts its own. */
+fleet::FleetSpec SpecWithoutDynamo(const std::string& text)
+{
+    fleet::FleetSpec spec = fleet::ParseFleetSpecString(text);
+    spec.with_dynamo = false;
+    return spec;
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// FleetLayout
-// ---------------------------------------------------------------------------
-
-FleetLayout::FleetLayout(fleet::FleetSpec s)
-    : spec(std::move(s)), diurnal(spec.diurnal_amplitude)
-{
-    traffic.Add(&diurnal);
-    traffic.Add(&scenario);
-    traffic.Add(&balancer);
-
-    switch (spec.scope) {
-      case fleet::FleetScope::kRpp:
-        root = power::BuildRpp("rpp0", spec.topology.rpp_rated,
-                               spec.topology.rpp_rated);
-        break;
-      case fleet::FleetScope::kSb:
-        root = power::BuildSbTree("sb0", spec.topology.rpps_per_sb,
-                                  spec.topology);
-        break;
-      case fleet::FleetScope::kMsb:
-        root = power::BuildMsbTree(spec.topology);
-        break;
-    }
-
-    // Replicate fleet::Fleet::BuildServersFor byte-for-byte: one Rng
-    // walk over every RPP in pre-order, same draw sequence per server.
-    // Every daemon therefore derives identical server configs — the
-    // shared-spec contract that replaces a discovery protocol.
-    Rng rng(spec.seed);
-    for (power::PowerDevice* rpp :
-         root->DevicesAtLevel(power::DeviceLevel::kRpp)) {
-        const std::vector<workload::ServiceType> services =
-            fleet::AssignServices(spec.mix, spec.servers_per_rpp);
-
-        if (spec.tor_switch_power > 0.0) {
-            switches.push_back(
-                std::make_unique<power::FixedLoad>(spec.tor_switch_power));
-            rpp->AttachLoad(switches.back().get());
-        }
-
-        for (std::size_t i = 0; i < spec.servers_per_rpp; ++i) {
-            server::SimServer::Config config;
-            config.name = rpp->name() + "/s" + std::to_string(i);
-            config.generation = rng.Bernoulli(spec.haswell_fraction)
-                                    ? server::ServerGeneration::kHaswell2015
-                                    : server::ServerGeneration::kWestmere2011;
-            config.service = services[i];
-            config.has_sensor = !rng.Bernoulli(spec.sensorless_fraction);
-            config.turbo_enabled = spec.turbo_enabled;
-            config.spec_override = spec.spec_override;
-            config.seed = rng.NextU64();
-            servers.push_back(std::make_unique<server::SimServer>(
-                config, workload::LoadProcessParams::For(config.service),
-                &traffic));
-            rpp->AttachLoad(servers.back().get());
-        }
-    }
-}
-
-std::vector<server::SimServer*>
-FleetLayout::ServersUnder(const std::string& device_name) const
-{
-    std::vector<server::SimServer*> result;
-    power::PowerDevice* device = root->Find(device_name);
-    if (device == nullptr) return result;
-    device->ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                result.push_back(srv);
-            }
-        }
-    });
-    return result;
-}
-
-power::PowerDevice&
-FleetLayout::DeviceOrThrow(const std::string& device_name) const
-{
-    power::PowerDevice* device = root->Find(device_name);
-    if (device == nullptr) {
-        throw std::invalid_argument("no device named '" + device_name +
-                                    "' in the fleet spec topology");
-    }
-    return *device;
-}
 
 // ---------------------------------------------------------------------------
 // Daemon
@@ -118,15 +38,13 @@ FleetLayout::DeviceOrThrow(const std::string& device_name) const
 Daemon::Daemon(Options options)
     : options_(std::move(options)),
       transport_(rpc::SocketTransport::Options{options_.epoch,
-                                               std::chrono::milliseconds(1000)})
+                                               std::chrono::milliseconds(1000)}),
+      fleet_(SpecWithoutDynamo(options_.spec_text))
 {
-    fleet::FleetSpec spec = fleet::ParseFleetSpecString(options_.spec_text);
-    layout_ = std::make_unique<FleetLayout>(std::move(spec));
-
     if (options_.device.empty()) {
         throw std::invalid_argument("daemon requires a --device to serve");
     }
-    layout_->DeviceOrThrow(options_.device);  // fail fast on typos
+    Device(options_.device);  // fail fast on typos
 
     transport_.AttachMetrics(&metrics_);
     transport_.Listen(rpc::SocketAddress::Parse(options_.listen));
@@ -145,11 +63,22 @@ Daemon::Daemon(Options options)
 
 Daemon::~Daemon() = default;
 
+power::PowerDevice&
+Daemon::Device(const std::string& device_name)
+{
+    power::PowerDevice* device = fleet_.root().Find(device_name);
+    if (device == nullptr) {
+        throw std::invalid_argument("no device named '" + device_name +
+                                    "' in the fleet spec topology");
+    }
+    return *device;
+}
+
 void
 Daemon::BuildAgentRole()
 {
     const std::vector<server::SimServer*> mine =
-        layout_->ServersUnder(options_.device);
+        fleet_.ServersUnder(options_.device);
     if (mine.empty()) {
         throw std::invalid_argument("no servers under device '" +
                                     options_.device + "'");
@@ -166,15 +95,15 @@ Daemon::BuildAgentRole()
 void
 Daemon::BuildLeafRole()
 {
-    power::PowerDevice& device = layout_->DeviceOrThrow(options_.device);
+    power::PowerDevice& device = Device(options_.device);
     endpoint_ = core::Deployment::ControllerEndpoint(options_.device);
 
     core::ControllerBuilder builder(sim_, transport_);
     builder.Endpoint(endpoint_)
         .ForDevice(device)
-        .LeafConfig(layout_->spec.deployment.leaf)
+        .LeafConfig(fleet_.spec().deployment.leaf)
         .Telemetry(&metrics_, nullptr);
-    for (server::SimServer* srv : layout_->ServersUnder(options_.device)) {
+    for (server::SimServer* srv : core::ServersUnder(device)) {
         builder.Agent(core::AgentInfoFor(*srv));
         if (!options_.agents_at.empty()) {
             transport_.AddRoute(core::Deployment::AgentEndpoint(srv->name()),
@@ -188,16 +117,16 @@ Daemon::BuildLeafRole()
 void
 Daemon::BuildUpperRole()
 {
-    power::PowerDevice& device = layout_->DeviceOrThrow(options_.device);
+    power::PowerDevice& device = Device(options_.device);
     endpoint_ = core::Deployment::ControllerEndpoint(options_.device);
 
     core::ControllerBuilder builder(sim_, transport_);
     builder.Endpoint(endpoint_)
         .ForDevice(device)
-        .UpperConfig(layout_->spec.deployment.upper)
+        .UpperConfig(fleet_.spec().deployment.upper)
         .Telemetry(&metrics_, nullptr);
     for (const auto& [child_device, address] : options_.children) {
-        layout_->DeviceOrThrow(child_device);
+        Device(child_device);
         const std::string child =
             core::Deployment::ControllerEndpoint(child_device);
         builder.Child(child);
@@ -246,8 +175,7 @@ Daemon::HandleStatus(const rpc::Payload& request)
         std::uint64_t reads = 0;
         for (const auto& agent : agents_) reads += agent->reads_served();
         result.cycles = reads;
-        result.power =
-            layout_->DeviceOrThrow(options_.device).TotalPower(sim_.Now());
+        result.power = Device(options_.device).TotalPower(sim_.Now());
     }
     return result;
 }

@@ -4,10 +4,12 @@
  * Agent / LeafController / UpperController classes as real processes
  * over SocketTransport (tools/dynamo_agentd, tools/dynamo_controllerd).
  *
- * Each daemon loads the same fleet spec and deterministically derives
- * the full fleet layout exactly as fleet::Fleet would — same topology
- * walk, same RNG draw order for per-server generation / sensor /
- * seed — then instantiates only the component it hosts:
+ * Each daemon loads the same fleet spec and builds the fleet::Fleet it
+ * describes with the control plane off (`with_dynamo = false`): the
+ * simulator's own topology walk and server draws, so a daemon hosts
+ * exactly the servers its simulated twin does. That fleet's kernel
+ * and SimTransport stay idle; the daemon instantiates only the
+ * component it hosts, on its own clock and socket transport:
  *
  *   - an **agent daemon** hosts the simulated servers of one leaf
  *     device and their DynamoAgents (in production the "server" is the
@@ -18,7 +20,7 @@
  *   - an **upper controller daemon** hosts one UpperController whose
  *     children route to the leaf daemons.
  *
- * Because every daemon derives the layout from the same spec text, no
+ * Because every daemon builds its fleet from the same spec text, no
  * discovery protocol is needed: endpoint names are the deterministic
  * "agent:<server>" / "ctl:<device>" names the simulator uses, and
  * routing is explicit (--route / --agents / --child flags).
@@ -53,39 +55,6 @@
 #include "telemetry/metrics.h"
 
 namespace dynamo::daemon {
-
-/**
- * The deterministically derived fleet layout: topology tree plus every
- * server, constructed with byte-identical configs to fleet::Fleet
- * (same Rng(seed) draw order). Daemons build the whole layout — it is
- * cheap relative to a process — and pick their subtree out of it.
- */
-struct FleetLayout
-{
-    fleet::FleetSpec spec;
-    std::unique_ptr<power::PowerDevice> root;
-    std::vector<std::unique_ptr<server::SimServer>> servers;
-    std::vector<std::unique_ptr<power::FixedLoad>> switches;
-
-    // Traffic components wired exactly as fleet::Fleet wires them;
-    // owned here so the servers' pointers stay valid.
-    workload::DiurnalTraffic diurnal;
-    workload::PiecewiseTraffic scenario;
-    workload::ConstantTraffic balancer{1.0};
-    workload::CompositeTraffic traffic;
-
-    explicit FleetLayout(fleet::FleetSpec s);
-
-    FleetLayout(const FleetLayout&) = delete;
-    FleetLayout& operator=(const FleetLayout&) = delete;
-
-    /** Servers attached under the named device subtree. */
-    std::vector<server::SimServer*> ServersUnder(
-        const std::string& device_name) const;
-
-    /** Device by name; throws std::invalid_argument when unknown. */
-    power::PowerDevice& DeviceOrThrow(const std::string& device_name) const;
-};
 
 /** One Dynamo deployment-mode process. */
 class Daemon
@@ -123,7 +92,7 @@ class Daemon
     };
 
     /**
-     * Build the daemon: derive the layout, bind the listen socket,
+     * Build the daemon: build the spec's fleet, bind the listen socket,
      * construct + activate the hosted component, register the status
      * endpoint. Throws on a bad spec, unknown device, or bind failure.
      */
@@ -155,7 +124,12 @@ class Daemon
 
     rpc::SocketTransport& transport() { return transport_; }
     sim::Simulation& sim() { return sim_; }
-    const FleetLayout& layout() const { return *layout_; }
+
+    /** Hosted agents, one per server under `device` (agent daemons). */
+    const std::vector<std::unique_ptr<core::DynamoAgent>>& agents() const
+    {
+        return agents_;
+    }
 
     /** Hosted controller endpoint name ("" for agent daemons). */
     const std::string& controller_endpoint() const { return endpoint_; }
@@ -167,11 +141,16 @@ class Daemon
     void RegisterStatusEndpoint();
     rpc::Payload HandleStatus(const rpc::Payload& request);
 
+    /** Device by name; throws std::invalid_argument when unknown. */
+    power::PowerDevice& Device(const std::string& device_name);
+
     Options options_;
     sim::Simulation sim_;
     rpc::SocketTransport transport_;
     telemetry::MetricsRegistry metrics_;
-    std::unique_ptr<FleetLayout> layout_;
+
+    /** The spec's fleet, control plane off: devices and servers only. */
+    fleet::Fleet fleet_;
 
     /** Hosted components (per role; the others stay empty). */
     std::vector<std::unique_ptr<core::DynamoAgent>> agents_;

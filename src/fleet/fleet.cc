@@ -11,6 +11,12 @@
 
 namespace dynamo::fleet {
 
+namespace {
+
+/**
+ * Deterministic service assignment for `n` servers: contiguous blocks
+ * proportional to the mix weights, in mix order.
+ */
 std::vector<workload::ServiceType>
 AssignServices(const ServiceMix& mix, std::size_t n)
 {
@@ -30,6 +36,8 @@ AssignServices(const ServiceMix& mix, std::size_t n)
     while (assignment.size() < n) assignment.push_back(mix.shares.back().service);
     return assignment;
 }
+
+}  // namespace
 
 Fleet::Fleet(FleetSpec spec)
     : spec_(std::move(spec)),
@@ -55,12 +63,11 @@ Fleet::Fleet(FleetSpec spec)
     }
 
     Rng rng(spec_.seed);
-    std::size_t counter = 0;
     // DevicesAtLevel includes the root itself, so a bare-RPP fleet
     // gets its servers attached directly to the root.
     for (power::PowerDevice* rpp :
          root_->DevicesAtLevel(power::DeviceLevel::kRpp)) {
-        BuildServersFor(*rpp, rng, &counter);
+        BuildServersFor(*rpp, rng);
     }
 
     monitor_ = std::make_unique<power::BreakerMonitor>(
@@ -106,24 +113,7 @@ Fleet::Fleet(FleetSpec spec)
 }
 
 void
-Fleet::PublishKernelStats()
-{
-    if (!deployment_) return;
-    telemetry::MetricsRegistry& registry = deployment_->metrics();
-    const sim::KernelStats& stats = sim_.kernel_stats();
-    registry.GetGauge("sim.cascades")
-        ->Set(static_cast<double>(stats.cascades));
-    registry.GetGauge("sim.far_drains")
-        ->Set(static_cast<double>(stats.far_drains));
-    registry.GetGauge("sim.purges")->Set(static_cast<double>(stats.purges));
-    registry.GetGauge("sim.slot_sorts")
-        ->Set(static_cast<double>(stats.slot_sorts));
-    registry.GetGauge("sim.events_executed")
-        ->Set(static_cast<double>(sim_.events_executed()));
-}
-
-void
-Fleet::BuildServersFor(power::PowerDevice& rpp, Rng& rng, std::size_t* counter)
+Fleet::BuildServersFor(power::PowerDevice& rpp, Rng& rng)
 {
     const std::vector<workload::ServiceType> services =
         AssignServices(spec_.mix, spec_.servers_per_rpp);
@@ -135,27 +125,36 @@ Fleet::BuildServersFor(power::PowerDevice& rpp, Rng& rng, std::size_t* counter)
     }
 
     for (std::size_t i = 0; i < spec_.servers_per_rpp; ++i) {
-        server::SimServer::Config config;
-        config.name = rpp.name() + "/s" + std::to_string(i);
-        // The GPU draw only exists when gpu_fraction is set: a zero
-        // fraction must not consume an RNG draw, or every pre-GPU seed
-        // (and every committed golden journal) would shift streams.
-        config.generation =
-            (spec_.gpu_fraction > 0.0 && rng.Bernoulli(spec_.gpu_fraction))
-                ? server::ServerGeneration::kGpuTrain2024
-            : rng.Bernoulli(spec_.haswell_fraction)
-                ? server::ServerGeneration::kHaswell2015
-                : server::ServerGeneration::kWestmere2011;
-        config.service = services[i];
-        config.has_sensor = !rng.Bernoulli(spec_.sensorless_fraction);
-        config.turbo_enabled = spec_.turbo_enabled;
-        config.spec_override = spec_.spec_override;
-        ++*counter;
-        config.seed = rng.NextU64();
-        servers_.push_back(std::make_unique<server::SimServer>(
-            config, workload::LoadProcessParams::For(config.service), &traffic_));
-        rpp.AttachLoad(servers_.back().get());
+        DrawServer(rpp, rpp.name() + "/s" + std::to_string(i), services[i],
+                   rng);
     }
+}
+
+server::SimServer&
+Fleet::DrawServer(power::PowerDevice& rpp, std::string name,
+                  workload::ServiceType service, Rng& rng)
+{
+    server::SimServer::Config config;
+    config.name = std::move(name);
+    // The GPU draw only exists when gpu_fraction is set: a zero
+    // fraction must not consume an RNG draw, or every pre-GPU seed
+    // (and every committed golden journal) would shift streams.
+    config.generation =
+        (spec_.gpu_fraction > 0.0 && rng.Bernoulli(spec_.gpu_fraction))
+            ? server::ServerGeneration::kGpuTrain2024
+        : rng.Bernoulli(spec_.haswell_fraction)
+            ? server::ServerGeneration::kHaswell2015
+            : server::ServerGeneration::kWestmere2011;
+    config.service = service;
+    config.has_sensor = !rng.Bernoulli(spec_.sensorless_fraction);
+    config.turbo_enabled = spec_.turbo_enabled;
+    config.spec_override = spec_.spec_override;
+    config.seed = rng.NextU64();
+    servers_.push_back(std::make_unique<server::SimServer>(
+        std::move(config), workload::LoadProcessParams::For(service),
+        &traffic_));
+    rpp.AttachLoad(servers_.back().get());
+    return *servers_.back();
 }
 
 void
@@ -182,17 +181,9 @@ Fleet::Shedder::ClearShed(const std::string& domain)
 std::vector<server::SimServer*>
 Fleet::ServersUnder(const std::string& device_name)
 {
-    std::vector<server::SimServer*> result;
     power::PowerDevice* device = root_->Find(device_name);
-    if (device == nullptr) return result;
-    device->ForEach([&](power::PowerDevice& d) {
-        for (power::PowerLoad* load : d.loads()) {
-            if (auto* srv = dynamic_cast<server::SimServer*>(load)) {
-                result.push_back(srv);
-            }
-        }
-    });
-    return result;
+    if (device == nullptr) return {};
+    return core::ServersUnder(*device);
 }
 
 std::vector<std::string>
@@ -397,34 +388,18 @@ Fleet::ApplyAddServers(const ReconfigOp& op)
         leaf_backup = deployment_->FindLeafBackup(ep);
     }
     for (std::size_t i = 0; i < op.count; ++i) {
-        server::SimServer::Config config;
         // Epoch-qualified names keep provisioned servers unique across
         // repeated expansions of the same leaf.
-        config.name = op.target + "/e" + std::to_string(spec_epoch_) + "s" +
-                      std::to_string(i);
-        // Mirrors BuildServersFor: the GPU draw happens only when the
-        // fraction is set, keeping pre-GPU provisioning streams exact.
-        config.generation =
-            (spec_.gpu_fraction > 0.0 && rng.Bernoulli(spec_.gpu_fraction))
-                ? server::ServerGeneration::kGpuTrain2024
-            : rng.Bernoulli(spec_.haswell_fraction)
-                ? server::ServerGeneration::kHaswell2015
-                : server::ServerGeneration::kWestmere2011;
-        config.service = services[i];
-        config.has_sensor = !rng.Bernoulli(spec_.sensorless_fraction);
-        config.turbo_enabled = spec_.turbo_enabled;
-        config.spec_override = spec_.spec_override;
-        config.seed = rng.NextU64();
-        servers_.push_back(std::make_unique<server::SimServer>(
-            config, workload::LoadProcessParams::For(config.service),
-            &traffic_));
-        server::SimServer* srv = servers_.back().get();
-        rpp->AttachLoad(srv);
+        server::SimServer& srv =
+            DrawServer(*rpp,
+                       op.target + "/e" + std::to_string(spec_epoch_) + "s" +
+                           std::to_string(i),
+                       services[i], rng);
         if (deployment_) {
-            deployment_->AdoptServer(sim_, transport_, *srv);
+            deployment_->AdoptServer(sim_, transport_, srv);
             // Both leaf instances learn the roster: after a failover
             // the standby must keep controlling the grown domain.
-            const core::AgentInfo info = core::AgentInfoFor(*srv);
+            const core::AgentInfo info = core::AgentInfoFor(srv);
             if (leaf != nullptr) leaf->AddAgent(info);
             if (leaf_backup != nullptr) leaf_backup->AddAgent(info);
         }

@@ -72,15 +72,6 @@ struct ServiceMix
     }
 };
 
-/**
- * Deterministic service assignment for `n` servers: contiguous blocks
- * proportional to the mix weights, in mix order. Shared by Fleet and
- * the deployment daemons (which must derive byte-identical rosters
- * from the same spec).
- */
-std::vector<workload::ServiceType> AssignServices(const ServiceMix& mix,
-                                                  std::size_t n);
-
 /** How much of the hierarchy to instantiate. */
 enum class FleetScope { kRpp, kSb, kMsb };
 
@@ -190,15 +181,6 @@ class Fleet
         return deployment_ ? &deployment_->trace_log() : nullptr;
     }
 
-    /**
-     * Copy the simulation kernel's internal counters into gauges on
-     * the deployment registry (`sim.cascades`, `sim.far_drains`,
-     * `sim.purges`, `sim.slot_sorts`, `sim.events_executed`). The sim
-     * layer sits below telemetry, so the harness snapshots on demand
-     * rather than the kernel pushing. No-op without a deployment.
-     */
-    void PublishKernelStats();
-
     const FleetSpec& spec() const { return spec_; }
 
     /** All servers (owned by the fleet), in construction order. */
@@ -303,7 +285,15 @@ class Fleet
     void Snapshot(Archive& ar) const;
 
   private:
-    void BuildServersFor(power::PowerDevice& rpp, Rng& rng, std::size_t* counter);
+    void BuildServersFor(power::PowerDevice& rpp, Rng& rng);
+
+    /**
+     * Draw one server's settings from `rng` and attach it under `rpp`.
+     * Boot-time building and add-servers both come here, so this is
+     * the only place a FleetSpec turns into servers.
+     */
+    server::SimServer& DrawServer(power::PowerDevice& rpp, std::string name,
+                                  workload::ServiceType service, Rng& rng);
 
     void ValidateReconfig(const ReconfigTxn& txn) const;
     void ApplyReconfig(const ReconfigTxn& txn);
