@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot components: the event
  * kernel, the capping planner at production roster sizes, the lazy
- * server advance, and the breaker integrator. These bound how many
+ * server advance, one breaker-monitor tick over an SB's servers, and
+ * the breaker integrator. These bound how many
  * servers one consolidated controller binary can handle — the paper
  * runs ~100 controller instances in one binary per suite.
  */
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/allocation.h"
+#include "fleet/fleet.h"
 #include "power/breaker.h"
 #include "server/sim_server.h"
 #include "sim/simulation.h"
@@ -102,6 +104,29 @@ BM_ServerLazyAdvance(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServerLazyAdvance);
+
+/**
+ * One breaker-monitor tick of the serial fleet: the whole-tree power
+ * walk that reads every server once per simulated second, over one SB
+ * of 8 RPPs x 240 servers with the default diurnal traffic and no
+ * control plane.
+ */
+void
+BM_MonitorTick(benchmark::State& state)
+{
+    fleet::FleetSpec spec;
+    spec.scope = fleet::FleetScope::kSb;
+    spec.with_dynamo = false;
+    fleet::Fleet fleet(spec);
+    SimTime t = 0;
+    for (auto _ : state) {
+        t += Seconds(1);
+        benchmark::DoNotOptimize(fleet.root().TotalPower(t));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(fleet.servers().size()));
+}
+BENCHMARK(BM_MonitorTick);
 
 void
 BM_BreakerAdvance(benchmark::State& state)

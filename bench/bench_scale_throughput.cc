@@ -83,12 +83,15 @@
  * --overhead-check PCT measures instrumentation cost on the serial
  * fleet::Fleet: for each size it builds an MSB of ceil(N / 1920) SBs
  * of the default topology with the deployment's telemetry off and with
- * it on, runs the two alternating (best-of-3 each, interleaved so
- * thermal/scheduler drift hits both arms equally), and exits non-zero
- * when telemetry-on throughput lands more than PCT percent below
- * telemetry-off. The telemetry-on arm prints the p50/p99 wall cost of
- * one leaf and one upper cycle from the `leaf.cycle_us` and
- * `upper.cycle_us` histograms.
+ * it on. It runs 9 pairs of arms, each arm on a freshly built fleet;
+ * a pair's two fleets advance through the measured span in alternating
+ * 3 s slices, telemetry-off first in odd pairs and telemetry-on first
+ * in even ones. It prints every pair's on/off events-per-second ratio
+ * and exits non-zero when the median ratio lands more than PCT percent
+ * below 1. Interleaved arms see nearly the same host speed, so drift
+ * cannot decide the verdict. The telemetry-on arm prints the p50/p99
+ * wall cost of one leaf and one upper cycle from the `leaf.cycle_us`
+ * and `upper.cycle_us` histograms.
  */
 #include <algorithm>
 #include <cctype>
@@ -98,6 +101,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -105,6 +109,7 @@
 #include <vector>
 
 #include "common/archive.h"
+#include "common/stats.h"
 #include "fleet/fleet.h"
 #include "fleet/sharded_scenarios.h"
 #include "fleet/sharding.h"
@@ -474,33 +479,60 @@ OverheadSpec(std::size_t n_servers, bool with_telemetry)
 }
 
 /**
- * Events per wall-second of the serial fleet over `measure_ms`, after a
- * 15 s warm-up past every activation stagger. With telemetry on, also
- * prints the p50/p99 wall cost of one leaf and one upper cycle.
+ * One pair of overhead arms: two freshly built serial fleets, telemetry
+ * off and on, each warmed up 15 s past every activation stagger and
+ * then advanced over `measure_ms` in alternating 3 s slices, so a
+ * change of host speed lands on both arms. `on_first` makes the
+ * telemetry-on fleet build and run first in every slice. Returns the
+ * telemetry-on arm's events per wall-second over the telemetry-off
+ * arm's, after printing both rates and the telemetry-on arm's p50/p99
+ * wall cost of one leaf and one upper cycle.
  */
 double
-RunOverheadArm(std::size_t n_servers, SimTime measure_ms, bool with_telemetry)
+RunOverheadPair(std::size_t n_servers, SimTime measure_ms, bool on_first)
 {
-    fleet::Fleet fleet(OverheadSpec(n_servers, with_telemetry));
-    fleet.RunFor(15'000);
-    const std::uint64_t events_before = fleet.sim().events_executed();
-    const Clock::time_point wall_start = Clock::now();
-    fleet.RunFor(measure_ms);
-    const double wall_s =
-        std::chrono::duration<double>(Clock::now() - wall_start).count();
-    const std::uint64_t events = fleet.sim().events_executed() - events_before;
-    if (with_telemetry) {
-        telemetry::MetricsRegistry& metrics = *fleet.metrics();
-        const telemetry::Histogram& leaf =
-            *metrics.GetHistogram("leaf.cycle_us");
-        const telemetry::Histogram& upper =
-            *metrics.GetHistogram("upper.cycle_us");
-        std::printf("  telemetry on: %zu servers, leaf cycle p50/p99 "
-                    "%.1f/%.1f us, upper %.1f/%.1f us\n",
-                    fleet.servers().size(), leaf.p50(), leaf.p99(),
-                    upper.p50(), upper.p99());
+    constexpr SimTime kSliceMs = 3'000;
+    struct Arm
+    {
+        bool with_telemetry;
+        std::unique_ptr<fleet::Fleet> fleet;
+        std::uint64_t events = 0;
+        double wall_s = 0.0;
+    };
+    Arm arms[2] = {{on_first, nullptr}, {!on_first, nullptr}};
+    for (Arm& arm : arms) {
+        arm.fleet = std::make_unique<fleet::Fleet>(
+            OverheadSpec(n_servers, arm.with_telemetry));
+        arm.fleet->RunFor(15'000);
     }
-    return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
+    for (SimTime done = 0; done < measure_ms; done += kSliceMs) {
+        for (Arm& arm : arms) {
+            const std::uint64_t events_before =
+                arm.fleet->sim().events_executed();
+            const Clock::time_point start = Clock::now();
+            arm.fleet->RunFor(std::min(kSliceMs, measure_ms - done));
+            arm.wall_s +=
+                std::chrono::duration<double>(Clock::now() - start).count();
+            arm.events += arm.fleet->sim().events_executed() - events_before;
+        }
+    }
+    const Arm& on = arms[on_first ? 0 : 1];
+    const Arm& off = arms[on_first ? 1 : 0];
+    telemetry::MetricsRegistry& metrics = *on.fleet->metrics();
+    const telemetry::Histogram& leaf = *metrics.GetHistogram("leaf.cycle_us");
+    const telemetry::Histogram& upper = *metrics.GetHistogram("upper.cycle_us");
+    std::printf("  telemetry on: %zu servers, leaf cycle p50/p99 "
+                "%.1f/%.1f us, upper %.1f/%.1f us\n",
+                on.fleet->servers().size(), leaf.p50(), leaf.p99(),
+                upper.p50(), upper.p99());
+    const auto rate = [](const Arm& arm) {
+        return arm.wall_s > 0.0 ? static_cast<double>(arm.events) / arm.wall_s
+                                : 0.0;
+    };
+    const double ratio = rate(off) > 0.0 ? rate(on) / rate(off) : 0.0;
+    std::printf("  telemetry-on %.0f events/s, off %.0f: ratio %.3f\n",
+                rate(on), rate(off), ratio);
+    return ratio;
 }
 
 /**
@@ -728,40 +760,37 @@ main(int argc, char** argv)
     }
 
     if (overhead_pct > 0.0) {
-        // Instrumentation-overhead gate on the serial fleet: alternate
-        // off/on arms so slow drift (turbo, thermal, noisy neighbours)
-        // biases neither.
+        // Instrumentation-overhead gate on the serial fleet. The host's
+        // speed drifts (turbo, thermal, noisy neighbours) on the scale
+        // of one arm, so the gate compares arms only within a pair whose
+        // slices interleave, alternates which arm of a pair goes first,
+        // and judges the median of the pairs' on/off throughput ratios.
         bool ok = true;
         for (const std::size_t n : sizes) {
-            constexpr int kReps = 3;
-            double best_off = 0.0;
-            double best_on = 0.0;
-            for (int rep = 0; rep < kReps; ++rep) {
-                std::printf("overhead rep %d/%d at %zu servers...\n", rep + 1,
-                            kReps, n);
+            constexpr int kPairs = 9;
+            std::vector<double> ratios;
+            for (int pair = 0; pair < kPairs; ++pair) {
+                const bool on_first = pair % 2 == 1;
+                std::printf("overhead pair %d/%d at %zu servers, telemetry "
+                            "%s first...\n",
+                            pair + 1, kPairs, n, on_first ? "on" : "off");
                 std::fflush(stdout);
-                best_off = std::max(
-                    best_off,
-                    RunOverheadArm(n, measure_ms, /*with_telemetry=*/false));
-                best_on = std::max(
-                    best_on,
-                    RunOverheadArm(n, measure_ms, /*with_telemetry=*/true));
+                ratios.push_back(RunOverheadPair(n, measure_ms, on_first));
             }
-            const double floor = best_off * (1.0 - overhead_pct / 100.0);
-            const double drop =
-                best_off > 0.0 ? 100.0 * (1.0 - best_on / best_off) : 0.0;
-            if (best_on < floor) {
+            const double median = Percentile(ratios, 50.0);
+            const double drop = 100.0 * (1.0 - median);
+            if (median < 1.0 - overhead_pct / 100.0) {
                 std::fprintf(stderr,
-                             "METRICS OVERHEAD: %zu servers ran at %.0f "
-                             "events/s with telemetry vs %.0f without "
-                             "(%.1f%% drop, budget %.1f%%)\n",
-                             n, best_on, best_off, drop, overhead_pct);
+                             "METRICS OVERHEAD: %zu servers, median "
+                             "telemetry-on/off throughput ratio %.3f over "
+                             "%d pairs (%.1f%% drop, budget %.1f%%)\n",
+                             n, median, kPairs, drop, overhead_pct);
                 ok = false;
             } else {
-                std::printf("overhead check ok: %zu servers, telemetry-on "
-                            "%.0f events/s vs telemetry-off %.0f (%.1f%% "
-                            "drop, budget %.1f%%)\n",
-                            n, best_on, best_off, drop, overhead_pct);
+                std::printf("overhead check ok: %zu servers, median "
+                            "telemetry-on/off throughput ratio %.3f over %d "
+                            "pairs (%.1f%% drop, budget %.1f%%)\n",
+                            n, median, kPairs, drop, overhead_pct);
             }
         }
         return ok ? 0 : 1;

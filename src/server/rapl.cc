@@ -1,7 +1,8 @@
 #include "server/rapl.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "common/decay.h"
 
 namespace dynamo::server {
 
@@ -15,9 +16,10 @@ RaplModel::Apply(Watts demanded, SimTime now)
         actual_ = target;
         return actual_;
     }
-    const double dt_s = ToSeconds(std::max<SimTime>(0, now - last_time_));
+    const DecayTerms step =
+        DecayOver(std::max<SimTime>(0, now - last_time_), tau_s_);
     last_time_ = std::max(last_time_, now);
-    const double blend = 1.0 - std::exp(-dt_s / tau_s_);
+    const double blend = 1.0 - step.decay;
     actual_ += (target - actual_) * blend;
     return actual_;
 }

@@ -1,8 +1,9 @@
 #include "workload/load_process.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+
+#include "common/decay.h"
 
 namespace dynamo::workload {
 
@@ -101,15 +102,12 @@ LoadProcess::AdvanceTo(SimTime now)
     }
     if (now <= last_time_) return;
 
-    const double dt_s = ToSeconds(now - last_time_);
-    last_time_ = now;
-
     // Exact OU step: valid for any dt, which is what makes lazy
     // advancement sound.
-    const double decay = std::exp(-dt_s / params_.ou_tau_s);
-    const double noise_std =
-        params_.ou_sigma * std::sqrt(std::max(0.0, 1.0 - decay * decay));
-    ou_state_ = ou_state_ * decay + rng_.Normal(0.0, noise_std);
+    const DecayTerms step = DecayOver(now - last_time_, params_.ou_tau_s);
+    last_time_ = now;
+    const double noise_std = params_.ou_sigma * step.root;
+    ou_state_ = ou_state_ * step.decay + rng_.Normal(0.0, noise_std);
 
     // Roll the burst process forward past `now`. Bursts that started
     // and ended entirely between two reads are skipped, just as a 3 s

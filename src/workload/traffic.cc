@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/decay.h"
+
 namespace dynamo::workload {
 
 double
@@ -31,14 +33,33 @@ GroupTraffic::FactorAt(SimTime now) const
         last_time_ = now;
         state_ = rng_.Normal(0.0, sigma_);
     } else if (now > last_time_) {
-        const double dt_s = ToSeconds(now - last_time_);
+        const DecayTerms step = DecayOver(now - last_time_, tau_s_);
         last_time_ = now;
-        const double decay = std::exp(-dt_s / tau_s_);
-        const double noise_std =
-            sigma_ * std::sqrt(std::max(0.0, 1.0 - decay * decay));
-        state_ = state_ * decay + rng_.Normal(0.0, noise_std);
+        const double noise_std = sigma_ * step.root;
+        state_ = state_ * step.decay + rng_.Normal(0.0, noise_std);
     }
     return std::max(min_factor_, 1.0 + state_);
+}
+
+double
+CompositeTraffic::FactorAt(SimTime now) const
+{
+    const std::uint64_t changes = CompositeTraffic::changes();
+    if (now == memo_now_ && changes == memo_changes_) return memo_factor_;
+    double f = 1.0;
+    for (const TrafficModel* part : parts_) f *= part->FactorAt(now);
+    memo_now_ = now;
+    memo_changes_ = changes;
+    memo_factor_ = f;
+    return f;
+}
+
+std::uint64_t
+CompositeTraffic::changes() const
+{
+    std::uint64_t sum = TrafficModel::changes();
+    for (const TrafficModel* part : parts_) sum += part->changes();
+    return sum;
 }
 
 void
@@ -51,6 +72,7 @@ PiecewiseTraffic::AddPoint(SimTime time, double factor)
             "PiecewiseTraffic breakpoints must be added in time order");
     }
     points_.push_back(Point{time, factor});
+    NoteChange();
 }
 
 void

@@ -12,6 +12,7 @@
 #ifndef DYNAMO_WORKLOAD_TRAFFIC_H_
 #define DYNAMO_WORKLOAD_TRAFFIC_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,6 +28,20 @@ class TrafficModel
 
     /** Traffic multiplier at `now` (1.0 = nominal). */
     virtual double FactorAt(SimTime now) const = 0;
+
+    /**
+     * How many times this model has been changed. Every mutator bumps
+     * it, and a composite adds its parts' counts, so a change anywhere
+     * beneath a composite moves the composite's count too.
+     */
+    virtual std::uint64_t changes() const { return changes_; }
+
+  protected:
+    /** Count one change; every mutator calls it. */
+    void NoteChange() { ++changes_; }
+
+  private:
+    std::uint64_t changes_ = 0;
 };
 
 /** Always the same factor. */
@@ -37,7 +52,11 @@ class ConstantTraffic : public TrafficModel
 
     double FactorAt(SimTime) const override { return factor_; }
 
-    void set_factor(double factor) { factor_ = factor; }
+    void set_factor(double factor)
+    {
+        factor_ = factor;
+        NoteChange();
+    }
 
     double factor() const { return factor_; }
 
@@ -149,22 +168,39 @@ class GroupTraffic : public TrafficModel
     mutable bool started_ = false;
 };
 
-/** Product of component models (non-owning; caller keeps them alive). */
+/**
+ * Product of component models (non-owning; caller keeps them alive).
+ *
+ * Every server sharing a composite reads it at the same instants (a
+ * breaker-monitor tick reads the whole fleet), so the composite keeps
+ * its last (now, factor) and answers a repeated instant from it. The
+ * memo holds only while `now` and the parts' change counts both stand
+ * still, so a part changed at instant t is seen by the next read at t.
+ * The parts are pure functions of `now` or, like GroupTraffic, answer a
+ * repeated instant from their own state, so a memo hit returns the
+ * same bits as asking them again.
+ */
 class CompositeTraffic : public TrafficModel
 {
   public:
     /** Add one multiplicative component. */
-    void Add(const TrafficModel* model) { parts_.push_back(model); }
-
-    double FactorAt(SimTime now) const override
+    void Add(const TrafficModel* model)
     {
-        double f = 1.0;
-        for (const TrafficModel* part : parts_) f *= part->FactorAt(now);
-        return f;
+        parts_.push_back(model);
+        NoteChange();
     }
+
+    double FactorAt(SimTime now) const override;
+
+    std::uint64_t changes() const override;
 
   private:
     std::vector<const TrafficModel*> parts_;
+    // The empty product is 1 at every instant, so the initial memo is
+    // true until the first Add moves the change count.
+    mutable SimTime memo_now_ = 0;
+    mutable std::uint64_t memo_changes_ = 0;
+    mutable double memo_factor_ = 1.0;
 };
 
 }  // namespace dynamo::workload
