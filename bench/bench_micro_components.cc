@@ -2,20 +2,24 @@
  * @file
  * Microbenchmarks (google-benchmark) for the hot components: the event
  * kernel, the capping planner at production roster sizes, the lazy
- * server advance, one breaker-monitor tick over an SB's servers, and
- * the breaker integrator. These bound how many
- * servers one consolidated controller binary can handle — the paper
- * runs ~100 controller instances in one binary per suite.
+ * server advance, one breaker-monitor tick over an SB's servers, the
+ * breaker integrator, and the DYNW codec of one socket pull. These
+ * bound how many servers one consolidated controller binary can
+ * handle — the paper runs ~100 controller instances in one binary per
+ * suite.
  */
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/allocation.h"
+#include "core/api.h"
 #include "fleet/fleet.h"
 #include "power/breaker.h"
+#include "rpc/wire.h"
 #include "server/sim_server.h"
 #include "sim/simulation.h"
 #include "workload/load_process.h"
@@ -139,6 +143,76 @@ BM_BreakerAdvance(benchmark::State& state)
     }
 }
 BENCHMARK(BM_BreakerAdvance);
+
+/** An agent's answer to one pull, with the values perfbench's wire
+ *  probe sends. */
+rpc::Payload
+PullResult()
+{
+    api::PowerReadResult result;
+    result.source = "srv123";
+    result.power = 212.5;
+    result.service = workload::ServiceType::kCache;
+    result.power_limit = 250.0;
+    result.cpu_power = 120.25;
+    result.memory_power = 30.5;
+    result.other_power = 45.0;
+    result.conversion_loss = 16.75;
+    return result;
+}
+
+/**
+ * One socket pull's two frames, as SocketTransport queues them: the
+ * leaf's PowerReadRequest and the agent's PowerReadResult, appended
+ * into a reused write buffer.
+ */
+void
+BM_WireAppendPull(benchmark::State& state)
+{
+    const rpc::Payload request = api::PowerReadRequest{};
+    const rpc::Payload response = PullResult();
+    std::string buffer;
+    std::uint64_t call_id = 0;
+    for (auto _ : state) {
+        buffer.clear();
+        ++call_id;
+        rpc::wire::AppendFrame(buffer, rpc::wire::FrameKind::kRequest, 0,
+                               call_id, "agent:srv123", &request);
+        rpc::wire::AppendFrame(buffer, rpc::wire::FrameKind::kResponse, 0,
+                               call_id, {}, &response);
+        benchmark::DoNotOptimize(buffer.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(buffer.size()));
+}
+BENCHMARK(BM_WireAppendPull);
+
+/** The same two frames parsed in place and their bodies decoded, as
+ *  SocketTransport reads them. */
+void
+BM_WireParsePull(benchmark::State& state)
+{
+    const rpc::Payload request = api::PowerReadRequest{};
+    const rpc::Payload response = PullResult();
+    std::string frames[2];
+    rpc::wire::AppendFrame(frames[0], rpc::wire::FrameKind::kRequest, 0, 1,
+                           "agent:srv123", &request);
+    rpc::wire::AppendFrame(frames[1], rpc::wire::FrameKind::kResponse, 0, 1,
+                           {}, &response);
+    for (auto _ : state) {
+        for (const std::string& bytes : frames) {
+            const rpc::wire::FrameView frame = rpc::wire::ParseFrame(bytes);
+            rpc::Payload body =
+                rpc::wire::DecodeBody(frame.type, frame.payload);
+            benchmark::DoNotOptimize(body);
+        }
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(frames[0].size() + frames[1].size()));
+}
+BENCHMARK(BM_WireParsePull);
 
 }  // namespace
 

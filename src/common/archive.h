@@ -82,11 +82,6 @@ class Archive
   public:
     Archive() = default;
 
-    /** Continue after `bytes`: later fields are appended to them (the
-     *  wire codec writes frames straight into a connection's buffer
-     *  this way). Hand them back with TakeBytes(). */
-    explicit Archive(std::string bytes) : bytes_(std::move(bytes)) {}
-
     void U8(std::uint8_t v) { Put(&v, 1); }
 
     void U32(std::uint32_t v)
@@ -151,7 +146,26 @@ class Archive
     std::string bytes_;
 };
 
-/** Reader over Archive bytes; throws std::runtime_error on truncation. */
+// The reader loads each word with one memcpy, which yields the
+// little-endian value the archive holds only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "ArchiveReader and the wire codec load little-endian words");
+
+/** The `T` stored at `p` in the host's byte order, unaligned. */
+template <class T>
+T
+LoadWord(const char* p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/**
+ * Reader over Archive bytes; throws std::runtime_error on truncation.
+ * Every length check compares the request with the bytes left, never
+ * `pos + n` with the size, so no length prefix can wrap it.
+ */
 class ArchiveReader
 {
   public:
@@ -163,29 +177,9 @@ class ArchiveReader
         return static_cast<std::uint8_t>(bytes_[pos_++]);
     }
 
-    std::uint32_t U32()
-    {
-        Need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= std::uint32_t{static_cast<std::uint8_t>(bytes_[pos_ + i])}
-                 << (8 * i);
-        }
-        pos_ += 4;
-        return v;
-    }
+    std::uint32_t U32() { return Word<std::uint32_t>(); }
 
-    std::uint64_t U64()
-    {
-        Need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= std::uint64_t{static_cast<std::uint8_t>(bytes_[pos_ + i])}
-                 << (8 * i);
-        }
-        pos_ += 8;
-        return v;
-    }
+    std::uint64_t U64() { return Word<std::uint64_t>(); }
 
     std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
 
@@ -196,9 +190,12 @@ class ArchiveReader
     std::string Str() { return std::string(StrView()); }
 
     /** Length-prefixed byte string, as a view into the input. */
-    std::string_view StrView()
+    std::string_view StrView() { return View(U64()); }
+
+    /** The next `n` bytes, as a view into the input: one bounds check
+     *  for a run of fields that are then read from the view. */
+    std::string_view View(std::uint64_t n)
     {
-        const std::uint64_t n = U64();
         Need(n);
         const std::string_view s = bytes_.substr(pos_, n);
         pos_ += n;
@@ -214,9 +211,18 @@ class ArchiveReader
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
   private:
+    template <class T>
+    T Word()
+    {
+        Need(sizeof(T));
+        const T v = LoadWord<T>(bytes_.data() + pos_);
+        pos_ += sizeof(T);
+        return v;
+    }
+
     void Need(std::uint64_t n) const
     {
-        if (pos_ + n > bytes_.size()) {
+        if (n > remaining()) {
             throw std::runtime_error("archive truncated: need " +
                                      std::to_string(n) + " bytes at offset " +
                                      std::to_string(pos_));

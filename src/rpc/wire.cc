@@ -1,5 +1,9 @@
 #include "rpc/wire.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -12,192 +16,284 @@ namespace dynamo::rpc::wire {
 
 namespace {
 
-// --- body encode helpers ---------------------------------------------------
-
-void PutStatus(Archive& ar, const api::Status& s)
-{
-    ar.U8(static_cast<std::uint8_t>(s.code));
-    ar.Bool(s.retriable);
-    ar.Str(s.detail);
-}
-
-void PutOptWatts(Archive& ar, const std::optional<Watts>& w)
-{
-    ar.Bool(w.has_value());
-    ar.F64(w.has_value() ? *w : 0.0);
-}
-
-// --- body decode helpers ---------------------------------------------------
+// --- field types -----------------------------------------------------------
 //
-// ArchiveReader throws std::runtime_error with the offset on
-// truncation; Get* additionally range-check enums, and DecodeBody
-// wraps everything in WireError so callers see one exception type.
+// Integers are little-endian words, doubles their IEEE-754 bit
+// pattern, bools and enums one byte, and an optional watt value a
+// presence byte followed by the value (0 when absent), so every field
+// type has one width whatever its value.
 
-api::Status GetStatus(ArchiveReader& r)
-{
-    api::Status s;
-    const std::uint8_t code = r.U8();
-    if (code > static_cast<std::uint8_t>(api::StatusCode::kUnimplemented)) {
-        throw WireError("status code " + std::to_string(code) +
-                            " out of range",
-                        r.pos() - 1);
-    }
-    s.code = static_cast<api::StatusCode>(code);
-    s.retriable = r.Bool();
-    s.detail = r.Str();
-    return s;
-}
+template <class T>
+constexpr std::size_t kWidth = std::is_enum_v<T> ? 1 : sizeof(T);
 
-std::optional<Watts> GetOptWatts(ArchiveReader& r)
-{
-    const bool has = r.Bool();
-    const Watts w = r.F64();  // always present, keeps the layout fixed-width
-    if (!has) return std::nullopt;
-    return w;
-}
+template <>
+constexpr std::size_t kWidth<std::optional<Watts>> = 1 + sizeof(Watts);
 
-workload::ServiceType GetService(ArchiveReader& r)
-{
-    const std::uint8_t v = r.U8();
-    if (v >= workload::kAllServices.size()) {
-        throw WireError("service type " + std::to_string(v) + " out of range",
-                        r.pos() - 1);
-    }
-    return static_cast<workload::ServiceType>(v);
-}
+static_assert(sizeof(bool) == 1 && sizeof(Watts) == 8);
 
-// --- per-type body codecs --------------------------------------------------
+// --- field lists -----------------------------------------------------------
+//
+// Each api message's body layout is written down once, as the list of
+// its fields over an `Io`: SizeSink adds up their bytes, CursorSink
+// writes them and FieldReader reads them back. `M` is the message
+// type, const when encoding. Fields whose widths do not depend on
+// their values go through `Fixed` together, so the reader checks the
+// bounds of the whole run once; a string goes through `Str`, a u64
+// length prefix and then its bytes.
 
-void EncodePowerReadResult(Archive& ar, const api::PowerReadResult& m)
-{
-    PutStatus(ar, m.status);
-    ar.Str(m.source);
-    ar.F64(m.power);
-    ar.Bool(m.estimated);
-    ar.U8(static_cast<std::uint8_t>(m.service));
-    ar.Bool(m.capped);
-    ar.F64(m.power_limit);
-    ar.F64(m.cpu_power);
-    ar.F64(m.memory_power);
-    ar.F64(m.other_power);
-    ar.F64(m.conversion_loss);
-    ar.F64(m.quota);
-    ar.F64(m.floor);
-    PutOptWatts(ar, m.contract);
-}
-
-api::PowerReadResult DecodePowerReadResult(ArchiveReader& r)
-{
-    api::PowerReadResult m;
-    m.status = GetStatus(r);
-    m.source = r.Str();
-    m.power = r.F64();
-    m.estimated = r.Bool();
-    m.service = GetService(r);
-    m.capped = r.Bool();
-    m.power_limit = r.F64();
-    m.cpu_power = r.F64();
-    m.memory_power = r.F64();
-    m.other_power = r.F64();
-    m.conversion_loss = r.F64();
-    m.quota = r.F64();
-    m.floor = r.F64();
-    m.contract = GetOptWatts(r);
-    return m;
-}
-
-void EncodeStatusResult(Archive& ar, const api::StatusResult& m)
-{
-    PutStatus(ar, m.status);
-    ar.Str(m.endpoint);
-    ar.Str(m.health);
-    ar.U64(m.cycles);
-    ar.U64(m.caps_adopted);
-    ar.U64(m.contracts_adopted);
-    ar.F64(m.power);
-    ar.Bool(m.capping);
-}
-
-api::StatusResult DecodeStatusResult(ArchiveReader& r)
-{
-    api::StatusResult m;
-    m.status = GetStatus(r);
-    m.endpoint = r.Str();
-    m.health = r.Str();
-    m.cycles = r.U64();
-    m.caps_adopted = r.U64();
-    m.contracts_adopted = r.U64();
-    m.power = r.F64();
-    m.capping = r.Bool();
-    return m;
-}
-
-// --- body and frame encoders ----------------------------------------------
-
+template <class Io, class S>
 void
-PutBody(Archive& ar, const Payload& message)
+StatusFields(Io& io, S& s)
 {
-    std::visit(
-        [&ar](const auto& m) {
-            using T = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<T, api::PowerReadResult>) {
-                EncodePowerReadResult(ar, m);
-            } else if constexpr (std::is_same_v<T, api::CapRequest>) {
-                PutOptWatts(ar, m.limit);
-            } else if constexpr (std::is_same_v<T, api::CapResult> ||
-                                 std::is_same_v<T, api::HealthResult>) {
-                PutStatus(ar, m.status);
-            } else if constexpr (std::is_same_v<T, api::ContractUpdate>) {
-                PutOptWatts(ar, m.limit);
-                ar.U64(m.span_id);
-                ar.U64(m.spec_epoch);
-            } else if constexpr (std::is_same_v<T, api::TuneEstimate>) {
-                ar.F64(m.reference_ratio);
-            } else if constexpr (std::is_same_v<T, api::StatusResult>) {
-                EncodeStatusResult(ar, m);
-            } else {
-                // PowerReadRequest, HealthProbe, StatusRequest: empty body.
-                static_assert(std::is_empty_v<T>);
-            }
-        },
-        message);
+    io.Fixed(s.code, s.retriable);
+    io.Str(s.detail);
 }
 
-/** The fixed header and the target section of a frame. */
+template <class Io, class M>
 void
-PutHeader(Archive& ar, FrameKind kind, MessageType type, std::uint64_t epoch,
-          std::uint64_t call_id, std::string_view target)
+Fields(Io& io, M& m)
 {
-    ar.U32(kWireMagic);
-    ar.U32(0);  // frame_len, patched by SealFrame
-    ar.U32(kWireVersion);
-    ar.U8(static_cast<std::uint8_t>(type));
-    ar.U8(static_cast<std::uint8_t>(kind));
-    ar.U64(epoch);
-    ar.U64(call_id);
-    ar.Str(target);
-}
-
-/** Overwrite the `n` bytes at `at` with `v`, little-endian. */
-void
-PatchLe(std::string& bytes, std::size_t at, std::uint64_t v, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+    using T = std::remove_const_t<M>;
+    if constexpr (std::is_same_v<T, api::PowerReadResult>) {
+        StatusFields(io, m.status);
+        io.Str(m.source);
+        io.Fixed(m.power, m.estimated, m.service, m.capped, m.power_limit,
+                 m.cpu_power, m.memory_power, m.other_power,
+                 m.conversion_loss, m.quota, m.floor, m.contract);
+    } else if constexpr (std::is_same_v<T, api::CapRequest>) {
+        io.Fixed(m.limit);
+    } else if constexpr (std::is_same_v<T, api::CapResult> ||
+                         std::is_same_v<T, api::HealthResult>) {
+        StatusFields(io, m.status);
+    } else if constexpr (std::is_same_v<T, api::ContractUpdate>) {
+        io.Fixed(m.limit, m.span_id, m.spec_epoch);
+    } else if constexpr (std::is_same_v<T, api::TuneEstimate>) {
+        io.Fixed(m.reference_ratio);
+    } else if constexpr (std::is_same_v<T, api::StatusResult>) {
+        StatusFields(io, m.status);
+        io.Str(m.endpoint);
+        io.Str(m.health);
+        io.Fixed(m.cycles, m.caps_adopted, m.contracts_adopted, m.power,
+                 m.capping);
+    } else {
+        // PowerReadRequest, HealthProbe, StatusRequest: empty body.
+        static_assert(std::is_empty_v<T>);
     }
 }
 
-/** Patch frame_len of the frame that runs from `start` to the end of
- *  `out`, then append the digest. */
-void
-SealFrame(std::string& out, std::size_t start)
+// --- encode ----------------------------------------------------------------
+
+/** Adds up the bytes of a field list. */
+struct SizeSink
 {
-    PatchLe(out, start + 4, out.size() - start + 8, 4);
+    std::size_t bytes = 0;
+
+    template <class... T>
+    void Fixed(const T&...)
+    {
+        bytes += (kWidth<T> + ...);
+    }
+
+    void Str(std::string_view s) { bytes += 8 + s.size(); }
+
+    /** Bytes with no length prefix (an encoded body inside a frame). */
+    void Raw(std::string_view s) { bytes += s.size(); }
+};
+
+/** Writes a field list at `at`, into space the caller has sized. */
+struct CursorSink
+{
+    char* at;
+
+    template <class... T>
+    void Fixed(const T&... fields)
+    {
+        (Put(fields), ...);
+    }
+
+    void Str(std::string_view s)
+    {
+        Put(static_cast<std::uint64_t>(s.size()));
+        Raw(s);
+    }
+
+    void Raw(std::string_view s) { at = std::copy(s.begin(), s.end(), at); }
+
+    template <class T>
+    void Put(const T& v)
+    {
+        if constexpr (std::is_same_v<T, std::optional<Watts>>) {
+            Put(v.has_value());
+            Put(v.value_or(0.0));
+        } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+            *at++ = static_cast<char>(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            Put(std::bit_cast<std::uint64_t>(v));
+        } else {
+            static_assert(std::is_unsigned_v<T>);
+            std::memcpy(at, &v, sizeof v);
+            at += sizeof v;
+        }
+    }
+};
+
+static_assert(3 * kWidth<std::uint32_t> + kWidth<MessageType> +
+                  kWidth<FrameKind> + 2 * kWidth<std::uint64_t> ==
+              kFrameFixedHeaderBytes);
+
+/**
+ * Append one frame to `out`. `body(io)` walks the body's fields: once
+ * to size the frame, so `out` grows once, and once to write them after
+ * the header, target and body length; the digest seals the frame.
+ * Growing `out` is the only step that can fail, and it leaves `out` as
+ * it was, frames queued before included.
+ */
+template <class Body>
+void
+PutFrame(std::string& out, FrameKind kind, MessageType type,
+         std::uint64_t epoch, std::uint64_t call_id, std::string_view target,
+         const Body& body)
+{
+    SizeSink body_size;
+    body(body_size);
+    const std::size_t frame_len = kFrameFixedHeaderBytes + 8 + target.size() +
+                                  8 + body_size.bytes + 8;
+    const std::size_t start = out.size();
+    out.resize(start + frame_len);
+    char* const frame = out.data() + start;
+    CursorSink sink{frame};
+    sink.Fixed(kWireMagic, static_cast<std::uint32_t>(frame_len),
+               kWireVersion, type, kind, epoch, call_id);
+    sink.Str(target);
+    sink.Fixed(static_cast<std::uint64_t>(body_size.bytes));
+    body(sink);
     // The digest covers everything before it, length field included.
-    const std::uint64_t digest = Xxh64(std::string_view(out).substr(start));
-    out.resize(out.size() + 8);
-    PatchLe(out, out.size() - 8, digest, 8);
+    sink.Fixed(Xxh64(std::string_view(frame, frame_len - 8)));
 }
+
+// --- decode ----------------------------------------------------------------
+
+/** The fixed-width reads of ArchiveReader, over a run whose bounds were
+ *  checked once. */
+class RunReader
+{
+  public:
+    /** `run` starts at byte `pos` of the body (for error offsets). */
+    RunReader(std::string_view run, std::size_t pos)
+        : at_(run.data()), pos_(pos)
+    {
+    }
+
+    std::uint8_t U8()
+    {
+        ++pos_;
+        return static_cast<std::uint8_t>(*at_++);
+    }
+
+    std::uint64_t U64()
+    {
+        const auto v = LoadWord<std::uint64_t>(at_);
+        at_ += 8;
+        pos_ += 8;
+        return v;
+    }
+
+    std::size_t pos() const { return pos_; }
+
+  private:
+    const char* at_;
+    std::size_t pos_;
+};
+
+/** Read one field from `r`: an ArchiveReader, which checks every read,
+ *  or a RunReader. Enum values out of range throw WireError. */
+template <class R, class T>
+void
+Get(R& r, T& v)
+{
+    if constexpr (std::is_same_v<T, std::optional<Watts>>) {
+        bool has;
+        Watts w;
+        Get(r, has);
+        Get(r, w);  // always present, keeps the layout fixed-width
+        v = has ? std::optional<Watts>(w) : std::nullopt;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        v = r.U8() != 0;
+    } else if constexpr (std::is_same_v<T, api::StatusCode>) {
+        const std::uint8_t code = r.U8();
+        if (code > static_cast<std::uint8_t>(api::StatusCode::kUnimplemented)) {
+            throw WireError("status code " + std::to_string(code) +
+                                " out of range",
+                            r.pos() - 1);
+        }
+        v = static_cast<api::StatusCode>(code);
+    } else if constexpr (std::is_same_v<T, workload::ServiceType>) {
+        const std::uint8_t service = r.U8();
+        if (service >= workload::kAllServices.size()) {
+            throw WireError("service type " + std::to_string(service) +
+                                " out of range",
+                            r.pos() - 1);
+        }
+        v = static_cast<workload::ServiceType>(service);
+    } else if constexpr (std::is_same_v<T, double>) {
+        v = std::bit_cast<double>(r.U64());
+    } else {
+        static_assert(std::is_same_v<T, std::uint64_t>);
+        v = r.U64();
+    }
+}
+
+/**
+ * Reads a field list with one bounds check per fixed-width run. A run
+ * that does not fit is read field by field with a check each, so the
+ * error is the one the first short or bad field raises, at its offset,
+ * exactly as if every field were checked. ArchiveReader's truncation
+ * is a std::runtime_error, which DecodeBody turns into a WireError.
+ */
+class FieldReader
+{
+  public:
+    explicit FieldReader(ArchiveReader& r) : r_(r) {}
+
+    template <class... T>
+    void Fixed(T&... fields)
+    {
+        constexpr std::size_t n = (kWidth<T> + ...);
+        if (n <= r_.remaining()) {
+            const std::size_t pos = r_.pos();
+            RunReader run(r_.View(n), pos);
+            (Get(run, fields), ...);
+        } else {
+            (Get(r_, fields), ...);  // throws at the first short field
+        }
+    }
+
+    void Str(std::string& s) { s = r_.StrView(); }
+
+  private:
+    ArchiveReader& r_;
+};
+
+/** Decode the body `r` holds into a new alternative `I` of `message`. */
+template <std::size_t I>
+void
+DecodeInto(Payload& message, ArchiveReader& r)
+{
+    FieldReader reader(r);
+    Fields(reader, message.emplace<I>());
+}
+
+template <std::size_t... I>
+constexpr auto
+MakeDecoders(std::index_sequence<I...>)
+{
+    return std::array<void (*)(Payload&, ArchiveReader&), sizeof...(I)>{
+        &DecodeInto<I>...};
+}
+
+/** One decoder per Payload alternative, indexed by wire tag − 1. */
+constexpr auto kDecoders =
+    MakeDecoders(std::make_index_sequence<std::variant_size_v<Payload>>());
 
 Frame
 ToFrame(const FrameView& view)
@@ -257,56 +353,35 @@ TypeOf(const Payload& message)
 std::string
 EncodeBody(const Payload& message)
 {
-    Archive ar;
-    PutBody(ar, message);
-    return ar.TakeBytes();
+    return std::visit(
+        [](const auto& m) {
+            SizeSink size;
+            Fields(size, m);
+            std::string bytes(size.bytes, '\0');
+            CursorSink sink{bytes.data()};
+            Fields(sink, m);
+            return bytes;
+        },
+        message);
 }
 
 Payload
 DecodeBody(MessageType type, std::string_view body)
 {
-    ArchiveReader r(body);
+    if (type == MessageType::kNone) {
+        throw WireError("message type None has no body", 0);
+    }
+    const std::size_t index = static_cast<std::size_t>(type) - 1;
+    if (index >= kDecoders.size()) {
+        throw WireError("message type " +
+                            std::to_string(static_cast<unsigned>(type)) +
+                            " out of range",
+                        0);
+    }
     Payload message;
+    ArchiveReader r(body);
     try {
-        switch (type) {
-          case MessageType::kNone:
-            throw WireError("message type None has no body", 0);
-          case MessageType::kPowerReadRequest:
-            message = api::PowerReadRequest{};
-            break;
-          case MessageType::kPowerReadResult:
-            message = DecodePowerReadResult(r);
-            break;
-          case MessageType::kCapRequest:
-            message = api::CapRequest{GetOptWatts(r)};
-            break;
-          case MessageType::kCapResult:
-            message = api::CapResult{GetStatus(r)};
-            break;
-          case MessageType::kContractUpdate: {
-            api::ContractUpdate m;
-            m.limit = GetOptWatts(r);
-            m.span_id = r.U64();
-            m.spec_epoch = r.U64();
-            message = m;
-            break;
-          }
-          case MessageType::kTuneEstimate:
-            message = api::TuneEstimate{r.F64()};
-            break;
-          case MessageType::kHealthProbe:
-            message = api::HealthProbe{};
-            break;
-          case MessageType::kHealthResult:
-            message = api::HealthResult{GetStatus(r)};
-            break;
-          case MessageType::kStatusRequest:
-            message = api::StatusRequest{};
-            break;
-          case MessageType::kStatusResult:
-            message = DecodeStatusResult(r);
-            break;
-        }
+        kDecoders[index](message, r);
     } catch (const WireError&) {
         throw;
     } catch (const std::runtime_error& e) {
@@ -317,7 +392,7 @@ DecodeBody(MessageType type, std::string_view body)
     }
     if (!r.AtEnd()) {
         throw WireError(std::string(MessageTypeName(type)) + " body has " +
-                            std::to_string(body.size() - r.pos()) +
+                            std::to_string(r.remaining()) +
                             " trailing bytes",
                         r.pos());
     }
@@ -327,12 +402,9 @@ DecodeBody(MessageType type, std::string_view body)
 std::string
 EncodeFrame(const Frame& frame)
 {
-    Archive ar;
-    PutHeader(ar, frame.kind, frame.type, frame.epoch, frame.call_id,
-              frame.target);
-    ar.Str(frame.payload);
-    std::string bytes = ar.TakeBytes();
-    SealFrame(bytes, 0);
+    std::string bytes;
+    PutFrame(bytes, frame.kind, frame.type, frame.epoch, frame.call_id,
+             frame.target, [&frame](auto& io) { io.Raw(frame.payload); });
     return bytes;
 }
 
@@ -341,23 +413,17 @@ AppendFrame(std::string& out, FrameKind kind, std::uint64_t epoch,
             std::uint64_t call_id, std::string_view target,
             const Payload* body)
 {
-    const std::size_t start = out.size();
-    Archive ar(std::move(out));
-    try {
-        PutHeader(ar, kind, body == nullptr ? MessageType::kNone : TypeOf(*body),
-                  epoch, call_id, target);
-        const std::size_t body_at = ar.size();
-        ar.U64(0);  // body length, patched once the body is written
-        if (body != nullptr) PutBody(ar, *body);
-        out = ar.TakeBytes();
-        PatchLe(out, body_at, out.size() - body_at - 8, 8);
-    } catch (...) {
-        // Only allocation can fail; keep the frames queued before.
-        out = ar.TakeBytes();
-        out.resize(start);
-        throw;
+    if (body == nullptr) {
+        PutFrame(out, kind, MessageType::kNone, epoch, call_id, target,
+                 [](auto&) {});
+        return;
     }
-    SealFrame(out, start);
+    std::visit(
+        [&](const auto& m) {
+            PutFrame(out, kind, TypeOf(*body), epoch, call_id, target,
+                     [&m](auto& io) { Fields(io, m); });
+        },
+        *body);
 }
 
 FrameView
@@ -373,48 +439,47 @@ ParseFrame(std::string_view bytes)
     // Verify the digest before trusting ANY field: a bit flip anywhere
     // (including in the length or type bytes) must be reported as
     // corruption, not as whatever that field now happens to mean.
-    ArchiveReader tail(bytes.substr(bytes.size() - 8));
-    const std::uint64_t stored_digest = tail.U64();
-    const std::uint64_t computed_digest =
-        Xxh64(bytes.substr(0, bytes.size() - 8));
-    if (stored_digest != computed_digest) {
-        throw WireError("frame digest mismatch (corrupted frame)",
-                        bytes.size() - 8);
+    const std::size_t digest_at = bytes.size() - 8;
+    if (LoadWord<std::uint64_t>(bytes.data() + digest_at) !=
+        Xxh64(bytes.substr(0, digest_at))) {
+        throw WireError("frame digest mismatch (corrupted frame)", digest_at);
     }
 
+    // The size check above covers the fixed header: its fields are read
+    // at their offsets with no check each.
     ArchiveReader r(bytes);
+    const char* const header = r.View(kFrameFixedHeaderBytes).data();
     FrameView frame;
-    const std::uint32_t magic = r.U32();
-    if (magic != kWireMagic) {
+    if (LoadWord<std::uint32_t>(header) != kWireMagic) {
         throw WireError("bad magic", 0);
     }
-    const std::uint32_t frame_len = r.U32();
+    const std::uint32_t frame_len = LoadWord<std::uint32_t>(header + 4);
     if (frame_len != bytes.size()) {
         throw WireError("frame length field " + std::to_string(frame_len) +
                             " does not match actual size " +
                             std::to_string(bytes.size()),
                         4);
     }
-    const std::uint32_t version = r.U32();
+    const std::uint32_t version = LoadWord<std::uint32_t>(header + 8);
     if (version != kWireVersion) {
         throw WireError("unsupported wire version " + std::to_string(version),
                         8);
     }
-    const std::uint8_t type = r.U8();
+    const auto type = static_cast<std::uint8_t>(header[12]);
     if (type > static_cast<std::uint8_t>(MessageType::kStatusResult)) {
         throw WireError("message type " + std::to_string(type) +
                             " out of range",
                         12);
     }
     frame.type = static_cast<MessageType>(type);
-    const std::uint8_t kind = r.U8();
+    const auto kind = static_cast<std::uint8_t>(header[13]);
     if (kind > static_cast<std::uint8_t>(FrameKind::kError)) {
         throw WireError("frame kind " + std::to_string(kind) + " out of range",
                         13);
     }
     frame.kind = static_cast<FrameKind>(kind);
-    frame.epoch = r.U64();
-    frame.call_id = r.U64();
+    frame.epoch = LoadWord<std::uint64_t>(header + 14);
+    frame.call_id = LoadWord<std::uint64_t>(header + 22);
     try {
         frame.target = r.StrView();
         frame.payload = r.StrView();
@@ -422,9 +487,8 @@ ParseFrame(std::string_view bytes)
         throw WireError(std::string("frame sections truncated: ") + e.what(),
                         r.pos());
     }
-    if (r.pos() != bytes.size() - 8) {
-        throw WireError("frame has " +
-                            std::to_string(bytes.size() - 8 - r.pos()) +
+    if (r.pos() != digest_at) {
+        throw WireError("frame has " + std::to_string(digest_at - r.pos()) +
                             " trailing bytes before digest",
                         r.pos());
     }
@@ -450,6 +514,7 @@ FrameReader::Feed(std::string_view bytes)
     buffer_.erase(0, head_);
     head_ = 0;
     buffer_.append(bytes.data(), bytes.size());
+    if (frame_len_ != 0) return;  // this frame's header is checked
     if (auto error = CheckHeader()) throw *error;
 }
 
@@ -462,14 +527,13 @@ FrameReader::Unread() const
 std::optional<WireError>
 FrameReader::CheckHeader()
 {
-    if (Unread().size() < 8) return std::nullopt;
-    ArchiveReader r(Unread());
-    const std::uint32_t magic = r.U32();
-    if (magic != kWireMagic) {
+    const std::string_view unread = Unread();
+    if (unread.size() < 8) return std::nullopt;
+    if (LoadWord<std::uint32_t>(unread.data()) != kWireMagic) {
         poisoned_ = true;
         return WireError("bad magic on stream", consumed_);
     }
-    const std::uint32_t frame_len = r.U32();
+    const std::uint32_t frame_len = LoadWord<std::uint32_t>(unread.data() + 4);
     if (frame_len < kFrameFixedHeaderBytes + 8 + 16 ||
         frame_len > kMaxFrameBytes) {
         poisoned_ = true;
@@ -479,6 +543,7 @@ FrameReader::CheckHeader()
                              ", " + std::to_string(kMaxFrameBytes) + "]",
                          consumed_ + 4);
     }
+    frame_len_ = frame_len;
     return std::nullopt;
 }
 
@@ -495,10 +560,7 @@ bool
 FrameReader::HasFrame() const
 {
     if (deferred_) return true;
-    if (poisoned_ || Unread().size() < 8) return false;
-    ArchiveReader r(Unread());
-    r.U32();  // magic, validated by CheckHeader
-    return Unread().size() >= r.U32();
+    return !poisoned_ && frame_len_ != 0 && Unread().size() >= frame_len_;
 }
 
 FrameView
@@ -508,18 +570,16 @@ FrameReader::NextView()
     if (!HasFrame()) {
         throw WireError("Next() without a complete frame", consumed_);
     }
-    ArchiveReader r(Unread());
-    r.U32();
-    const std::uint32_t frame_len = r.U32();
     FrameView frame;
     try {
-        frame = ParseFrame(Unread().substr(0, frame_len));
+        frame = ParseFrame(Unread().substr(0, frame_len_));
     } catch (const WireError& e) {
         poisoned_ = true;
         throw e.Shifted(consumed_);
     }
-    head_ += frame_len;
-    consumed_ += frame_len;
+    head_ += frame_len_;
+    consumed_ += frame_len_;
+    frame_len_ = 0;
     if (head_ < buffer_.size()) deferred_ = CheckHeader();
     return frame;
 }

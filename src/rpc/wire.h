@@ -39,11 +39,17 @@
  * for, and a length exceeding kMaxFrameBytes (or a bad magic) marks
  * the connection poisoned rather than waiting forever on garbage.
  *
+ * Each message's body layout is written once, as a list of its fields
+ * (wire.cc) that the encoder walks twice, to size the frame and then
+ * to write it, and the decoder walks once, checking the bounds of each
+ * run of fixed-width fields once.
+ *
  * The socket path works in place: AppendFrame writes a frame straight
- * into a connection's write buffer, and ParseFrame / FrameReader::
- * NextView parse an inbound frame as views into the reader's buffer,
- * so only the decoded body is ever copied out. EncodeBody,
- * EncodeFrame and DecodeFrame are the owning forms of the same codec.
+ * into a connection's write buffer, growing it once, and ParseFrame /
+ * FrameReader::NextView parse an inbound frame as views into the
+ * reader's buffer, so only the decoded body is ever copied out.
+ * EncodeBody, EncodeFrame and DecodeFrame are the owning forms of the
+ * same codec.
  */
 #ifndef DYNAMO_RPC_WIRE_H_
 #define DYNAMO_RPC_WIRE_H_
@@ -189,9 +195,10 @@ MessageType TypeOf(const Payload& message);
 std::string EncodeBody(const Payload& message);
 
 /**
- * Parse canonical body bytes back into the api struct for `type`.
- * Throws WireError on truncation, trailing garbage, or out-of-range
- * enum values, and for kNone (error frames carry no message).
+ * Parse canonical body bytes back into the api struct for `type`,
+ * built in place in the returned Payload. Throws WireError on
+ * truncation, trailing garbage, or out-of-range enum values, and for
+ * a type with no message: kNone (error frames) or one past the last.
  */
 Payload DecodeBody(MessageType type, std::string_view body);
 
@@ -231,8 +238,9 @@ Frame DecodeFrame(std::string_view bytes);
  *
  * The reader validates magic and frame_len as soon as the first 8
  * bytes of a frame are buffered, so a poisoned stream (bad magic,
- * absurd length) is detected without waiting for more bytes; after a
- * throw the reader is permanently poisoned and the connection must be
+ * absurd length) is detected without waiting for more bytes, and it
+ * keeps the length it read until the frame is taken. After a throw
+ * the reader is permanently poisoned and the connection must be
  * dropped (stream sync cannot be re-established mid-garbage). Error
  * offsets are stream offsets: the bytes consumed before the bad frame
  * plus the failing field's offset within it.
@@ -282,6 +290,11 @@ class FrameReader
 
     std::string buffer_;
     std::size_t head_ = 0;  // consumed prefix of buffer_, dropped by Feed
+
+    /** Length of the frame that starts at head_, read once by the
+     *  CheckHeader that validated it; 0 until then. */
+    std::uint32_t frame_len_ = 0;
+
     std::uint64_t consumed_ = 0;
     bool poisoned_ = false;
 

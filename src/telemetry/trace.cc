@@ -1,5 +1,7 @@
 #include "telemetry/trace.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/archive.h"
@@ -122,6 +124,31 @@ WriteSpan(Archive& ar, const TraceSpan& span)
     }
 }
 
+namespace {
+
+/** Smallest encodings WriteSpan gives a group (priority group, cut,
+ *  servers) and an allocation (an empty target's length prefix, five
+ *  doubles, the bucket and the offender flag). */
+constexpr std::uint64_t kGroupMinBytes = 8 + 8 + 8;
+constexpr std::uint64_t kAllocationMinBytes = 8 + 5 * 8 + 8 + 1;
+
+/** Refuse a count of `what`s that the bytes left cannot hold, before
+ *  reserve() turns a corrupt count into a huge allocation. */
+void
+CheckCount(const ArchiveReader& ar, std::uint64_t count,
+           std::uint64_t min_bytes, const char* what)
+{
+    if (count > ar.remaining() / min_bytes) {
+        throw std::runtime_error(std::string(what) + " count " +
+                                 std::to_string(count) + " exceeds the " +
+                                 std::to_string(ar.remaining()) +
+                                 " bytes left at offset " +
+                                 std::to_string(ar.pos()));
+    }
+}
+
+}  // namespace
+
 TraceSpan
 ReadSpan(ArchiveReader& ar)
 {
@@ -143,6 +170,7 @@ ReadSpan(ArchiveReader& ar)
     span.satisfied = ar.Bool();
     span.dry_run = ar.Bool();
     const std::uint64_t groups = ar.U64();
+    CheckCount(ar, groups, kGroupMinBytes, "group");
     span.groups.reserve(groups);
     for (std::uint64_t i = 0; i < groups; ++i) {
         TraceGroupCut g;
@@ -152,6 +180,7 @@ ReadSpan(ArchiveReader& ar)
         span.groups.push_back(g);
     }
     const std::uint64_t allocs = ar.U64();
+    CheckCount(ar, allocs, kAllocationMinBytes, "allocation");
     span.allocs.reserve(allocs);
     for (std::uint64_t i = 0; i < allocs; ++i) {
         TraceAllocation a;

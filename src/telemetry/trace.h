@@ -127,7 +127,8 @@ std::string TraceTransitionName(const TraceSpan& span);
 /** Canonical binary encoding of one span (bit-exact doubles). */
 void WriteSpan(Archive& ar, const TraceSpan& span);
 
-/** Inverse of WriteSpan; throws std::runtime_error on truncation. */
+/** Inverse of WriteSpan; throws std::runtime_error on truncation, and
+ *  on a group or allocation count longer than the bytes left. */
 TraceSpan ReadSpan(ArchiveReader& ar);
 
 /** Field-exact equality (bit-exact doubles), including allocations. */

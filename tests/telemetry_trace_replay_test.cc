@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "common/archive.h"
@@ -178,6 +180,56 @@ TEST(TraceLogRing, SpanBinaryRoundTripPreservesEveryField)
     TraceSpan tweaked = back;
     tweaked.measured += 1e-12;
     EXPECT_FALSE(SpansIdentical(span, tweaked));
+}
+
+/** `bytes` with the u64 `at_from_end` bytes before its end set to `v`. */
+std::string
+WithWordFromEnd(std::string bytes, std::size_t at_from_end, std::uint64_t v)
+{
+    const std::size_t at = bytes.size() - at_from_end;
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[at + i] = static_cast<char>(v >> (8 * i));
+    }
+    return bytes;
+}
+
+TEST(TraceLogRing, SpanCountsLongerThanTheInputThrowRuntimeError)
+{
+    // With no groups and no allocations, a span's bytes end in the
+    // group count and then the allocation count.
+    TraceSpan span = MakeSpan(5, "ctl:rpp1");
+    span.groups.clear();
+    span.allocs.clear();
+    Archive ar;
+    WriteSpan(ar, span);
+    const std::string tail(200, '\0');
+
+    // Such counts must be refused before vector::reserve sees them: it
+    // throws std::length_error for 2^61 allocations, and 2^27 asks it
+    // for about 10 GB.
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 61, std::uint64_t{1} << 27}) {
+        SCOPED_TRACE(count);
+        const std::string allocs =
+            WithWordFromEnd(ar.bytes(), 8, count) + tail;
+        ArchiveReader allocs_reader(allocs);
+        EXPECT_THROW(ReadSpan(allocs_reader), std::runtime_error);
+
+        const std::string groups =
+            WithWordFromEnd(ar.bytes(), 16, count) + tail;
+        ArchiveReader groups_reader(groups);
+        EXPECT_THROW(ReadSpan(groups_reader), std::runtime_error);
+    }
+
+    // An allocation with an empty target is the smallest there is, and
+    // a count that exactly fills the input still reads.
+    TraceSpan smallest = span;
+    smallest.allocs.emplace_back();
+    Archive exact;
+    WriteSpan(exact, smallest);
+    ArchiveReader reader(exact.bytes());
+    EXPECT_TRUE(SpansIdentical(ReadSpan(reader), smallest));
+    EXPECT_TRUE(reader.AtEnd());
 }
 
 }  // namespace
